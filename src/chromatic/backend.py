@@ -1,14 +1,14 @@
-"""Solve backend: LP emission, solver adapters, result normalization.
+"""Solve backend: solver adapters, LP files where they are used, result normalization.
 
-Every solve writes the model to `model.lp` in a private working directory.
-Three adapter styles consume it:
+Three adapter styles solve a model:
 
-  BuiltinAdapter    parses the emitted LP file back and solves in-process
-                    with the bundled HiGHS core (the default; no external
-                    binary needed, still exercises the LP interchange)
-  CommandAdapter    runs any external solver as a subprocess from an argv
-                    template with {model}/{timelimit}/{seed}/{solout}
-                    placeholders and reads its output through a per-dialect
+  BuiltinAdapter    hands the model's rows straight to the bundled HiGHS
+                    core in-process (the default; no external binary, no LP
+                    text written or parsed)
+  CommandAdapter    writes the model to `model.lp` in a working directory
+                    and runs any external solver on it as a subprocess from
+                    an argv template with {model}/{timelimit}/{seed}/{solout}
+                    placeholders, reading its output through a per-dialect
                     regex table ("chromatic", "cbc", "gurobi", "glpsol")
   NullAdapter       answers tiny models from the exact oracle by encoding a
                     witness coloring into the formulation; lets the test
@@ -36,8 +36,8 @@ from pathlib import Path
 
 from . import lpsolve
 from .graph import Coloring
-from .lp import emit_lp
-from .models import MilpModel, check_feasible, encode_coloring, objective_value
+from .lp import _NAME, _NUM, emit_lp, parsed_view
+from .models import MilpModel, ModelError, check_feasible, encode_coloring, objective_value
 from .oracle import chromatic_number_exact
 
 KILL_GRACE_SECONDS = 10.0
@@ -97,9 +97,6 @@ class ParsedSolution:
 
 # ---------------------------------------------------------------------------
 # solution-file dialects
-
-_NAME = r"[A-Za-z_][A-Za-z0-9_.\[\]]*"
-_NUM = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
 
 
 @dataclass(frozen=True)
@@ -215,15 +212,19 @@ def parse_solution(text: str, dialect: str | Dialect) -> ParsedSolution:
 # adapters
 
 class BuiltinAdapter:
-    """Default adapter: the bundled HiGHS core, run in-process on the LP file."""
+    """Default adapter: the bundled HiGHS core, run in-process on the model.
+
+    The model's rows, fixings and variable order reach `lpsolve.solve_parsed`
+    through `lp.parsed_view`, as `chromatic-lps` gets them from the LP file,
+    so HiGHS sees the same arrays on both routes. It reads no file.
+    """
 
     name = "builtin"
     dialect = "chromatic"
 
-    def solve_model(self, model: MilpModel, lp_path: Path, time_limit: float,
-                    seed: int, workdir: Path) -> RawSolve:
-        outcome = lpsolve.solve_lp_text(lp_path.read_text(encoding="utf-8"),
-                                        time_limit=time_limit)
+    def solve_model(self, model: MilpModel, lp_path: Path | None, time_limit: float,
+                    seed: int, workdir: Path | None) -> RawSolve:
+        outcome = lpsolve.solve_parsed(parsed_view(model), time_limit=time_limit)
         return RawSolve(status_word=outcome.status, objective=outcome.objective,
                         bound=outcome.bound, values=outcome.values,
                         log=outcome.message)
@@ -234,7 +235,8 @@ class CommandAdapter:
     """External solver as a subprocess: argv template plus output dialect.
 
     Placeholders {model}, {timelimit}, {seed} and {solout} are substituted
-    into the argument template. The CHROMATIC_SOLVER environment variable
+    into the argument template; {model} is the `model.lp` file that `solve`
+    writes for it. The CHROMATIC_SOLVER environment variable
     overrides the executable path. The child runs in the solve's working
     directory with the parent's environment, plus any `env` pairs. It is
     killed 10 seconds past the time limit; whatever solution file exists by
@@ -245,13 +247,12 @@ class CommandAdapter:
     args: tuple[str, ...]
     dialect: str = "chromatic"
     name: str = "command"
-    time_limit_scale: float = 1.0
     env: tuple[tuple[str, str], ...] = ()
 
     def argv(self, lp_path: Path, time_limit: float, seed: int, solout: Path) -> list[str]:
         subst = {
             "model": str(lp_path),
-            "timelimit": f"{time_limit * self.time_limit_scale:g}",
+            "timelimit": f"{time_limit:g}",
             "seed": str(seed),
             "solout": str(solout),
         }
@@ -333,8 +334,8 @@ class NullAdapter:
     cap: int = 16
     name: str = "null"
 
-    def solve_model(self, model: MilpModel, lp_path: Path, time_limit: float,
-                    seed: int, workdir: Path) -> RawSolve:
+    def solve_model(self, model: MilpModel, lp_path: Path | None, time_limit: float,
+                    seed: int, workdir: Path | None) -> RawSolve:
         g = model.graph
         if g.n > self.cap:
             raise ValueError(f"null adapter handles at most {self.cap} vertices, got {g.n}")
@@ -348,7 +349,7 @@ class NullAdapter:
         values = encode_coloring(model, coloring)
         violated = check_feasible(model, values)
         if violated:
-            raise AssertionError(f"oracle encoding violated {violated[:5]}")
+            raise ModelError(f"oracle encoding violated {violated[:5]}")
         raw_obj = objective_value(model, values, with_offset=False)
         return RawSolve("optimal", raw_obj, raw_obj, dict(values), log="oracle")
 
@@ -443,10 +444,12 @@ def _round_values(raw_values: dict[str, float]) -> dict[str, int]:
 
 def solve(model: MilpModel, adapter=None, time_limit: float = 3600.0, seed: int = 0,
           workdir: str | Path | None = None) -> SolveResult:
-    """Emit the model, run the adapter, normalize bounds and status.
+    """Run the adapter on the model, normalize bounds and status.
 
-    The LP file is always written (to `workdir` when given, else a fresh
-    temporary directory), so solve artifacts are reproducible byte-for-byte.
+    LP text is written only where a file is used: `model.lp` in `workdir`
+    when one is given (byte-reproducible solve artifacts, for any adapter),
+    and for a `CommandAdapter`, which gets a fresh temporary directory when
+    there is no workdir. Otherwise the adapter sees no file and no directory.
     """
     if adapter is None:
         adapter = BuiltinAdapter()
@@ -457,13 +460,15 @@ def solve(model: MilpModel, adapter=None, time_limit: float = 3600.0, seed: int 
         lp_path.write_text(emit_lp(model), encoding="utf-8")
         return adapter.solve_model(model, lp_path, time_limit, seed, directory)
 
-    if workdir is None:
-        with tempfile.TemporaryDirectory(prefix="chromatic-") as tmp:
-            raw = run(Path(tmp))
-    else:
+    if workdir is not None:
         directory = Path(workdir)
         directory.mkdir(parents=True, exist_ok=True)
         raw = run(directory)
+    elif isinstance(adapter, CommandAdapter):
+        with tempfile.TemporaryDirectory(prefix="chromatic-") as tmp:
+            raw = run(Path(tmp))
+    else:
+        raw = adapter.solve_model(model, None, time_limit, seed, None)
     wall = time.monotonic() - started
 
     status = _STATUS_MAP.get(raw.status_word, SolveStatus.ERROR)

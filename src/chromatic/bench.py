@@ -9,7 +9,9 @@ no MILP is solved at all.
 CSV rows follow the benchmark-table convention: instance, sizes, optional
 hardness class (carried from a manifest, never computed), formulation,
 clique mode, bounds, time, status, seed. Times are wall-clock seconds of
-the MILP solve only; preprocessing time is its own column. Summary rows
+the `backend.solve` call: matrix assembly and HiGHS for `builtin`, plus the
+LP file, the solver process and its solution file for subprocess adapters.
+Preprocessing time is its own column. Summary rows
 (per density and formulation: mean time over solved instances, number of
 unsolved) go to a separate `.summary.csv`.
 """
@@ -24,7 +26,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .backend import SolveStatus, load_adapter, solve
-from .graph import Coloring, Graph, gnp_random, parse_dimacs, verify_coloring, write_dimacs
+from .graph import (Coloring, ColoringError, Graph, gnp_random, parse_dimacs, verify_coloring,
+                    write_dimacs)
 from .models import apply_clique_fixings, build_formulation, extract_coloring
 from .preprocess import PreprocessedInstance, preprocess_pipeline, restore_coloring
 
@@ -84,9 +87,9 @@ class RunConfig:
 @dataclass
 class InstanceOutcome:
     records: list[BenchmarkRecord]
+    preprocessed: PreprocessedInstance
+    prep_time: float
     colorings: dict[str, Coloring] = field(default_factory=dict)
-    preprocessed: PreprocessedInstance | None = None
-    prep_time: float = 0.0
 
 
 def solve_instance(g: Graph, name: str, cfg: RunConfig,
@@ -102,7 +105,10 @@ def solve_instance(g: Graph, name: str, cfg: RunConfig,
 
     if inst.solved_in_preprocessing:
         restored = restore_coloring(inst.reduced, inst.greedy_coloring)
-        assert verify_coloring(g, restored).valid
+        report = verify_coloring(g, restored)
+        if not report.valid:
+            raise ColoringError(
+                f"greedy coloring violates edges {report.violating_edges[:3]}")
         bound = inst.upper_bound
         for model_name in cfg.models:
             outcome.records.append(BenchmarkRecord(
@@ -126,7 +132,7 @@ def solve_instance(g: Graph, name: str, cfg: RunConfig,
                 restored = restore_coloring(inst.reduced, reduced_coloring)
                 report = verify_coloring(g, restored)
                 if not report.valid:
-                    raise AssertionError(
+                    raise ColoringError(
                         f"solver coloring violates edges {report.violating_edges[:3]}")
                 outcome.colorings[model_name] = restored
             outcome.records.append(BenchmarkRecord(

@@ -10,8 +10,7 @@ from .bench import (RunConfig, generate_set, read_manifest, records_csv,
                     run_bench, solve_instance, summarize, summary_csv)
 from .graph import (Coloring, ColoringError, DimacsError, Graph, parse_dimacs,
                     verify_coloring)
-
-MODEL_CHOICES = ("ass-s", "ass", "pop", "pop2", "rep")
+from .models import FORMULATIONS
 
 
 def write_coloring(c: Coloring, path: Path) -> None:
@@ -65,7 +64,7 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _add_run_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--model", action="append", choices=MODEL_CHOICES,
+    sub.add_argument("--model", action="append", choices=FORMULATIONS,
                      help="formulation to run (repeatable; default pop2)")
     sub.add_argument("--clique", choices=("c", "e"), default="e",
                      help="clique search objective: size (c) or fixing count (e)")
@@ -92,7 +91,6 @@ def cmd_solve(args) -> int:
     lp_dir = (args.out / "lp") if args.out else None
     outcome = solve_instance(g, name, cfg, lp_dir=lp_dir)
     inst = outcome.preprocessed
-    assert inst is not None
     removed = inst.reduced.original_n - inst.reduced.graph.n
     print(f"instance {name}: |V|={g.n} |E|={g.m}")
     print(f"preprocessing: removed {removed} dominated vertices, "

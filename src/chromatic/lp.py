@@ -8,14 +8,17 @@ portably inside the format, so it travels as a structured comment and is
 re-applied by whoever normalizes results.
 
 The parser reads the same dialect back (plus minor spacing/keyword
-variations); it feeds the bundled solver and the emit/parse self-checks.
+variations); it feeds the bundled solver's `chromatic-lps` child and the
+emit/parse self-checks. `parsed_view` gives the same content straight from
+a model, for the in-process solve, which writes and parses no text.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Sequence
 
-from .models import Constraint, MilpModel
+from .models import MilpModel
 
 MAX_LINE = 200
 
@@ -29,7 +32,8 @@ class ParsedLp:
     offset: float = 0.0
     minimize: bool = True
     objective: list[tuple[str, float]] = field(default_factory=list)
-    constraints: list[tuple[str, list[tuple[str, float]], str, float]] = field(default_factory=list)
+    constraints: list[tuple[str, Sequence[tuple[str, float]], str, float]] = \
+        field(default_factory=list)
     bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
     binaries: list[str] = field(default_factory=list)
 
@@ -107,6 +111,19 @@ def emit_lp(m: MilpModel) -> str:
         lines.append(" " + " ".join(m.variables[chunk:chunk + 12]))
     lines.append("End")
     return "\n".join(lines) + "\n"
+
+
+def parsed_view(m: MilpModel) -> ParsedLp:
+    """What `parse_lp(emit_lp(m))` reads back, taken from the model without text.
+
+    Rows, objective and fixings (as lo = hi bounds) are the model's own, and
+    every variable is binary in `m.variables` order, as the emitted Binaries
+    section lists them, so `variables()` gives the same column order.
+    """
+    return ParsedLp(offset=m.offset, minimize=True, objective=list(m.objective),
+                    constraints=[(c.name, c.terms, c.sense, c.rhs) for c in m.constraints],
+                    bounds={name: (value, value) for name, value in m.fixings.items()},
+                    binaries=list(m.variables))
 
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_.\[\]]*"
@@ -267,9 +284,3 @@ def parse_lp(text: str) -> ParsedLp:
         raise LpParseError("no LP content found")
     return out
 
-
-def parsed_constraints_as_model_rows(parsed: ParsedLp) -> list[Constraint]:
-    """View parsed rows with the container's Constraint type (tests/bridges)."""
-    return [Constraint(name=name, terms=tuple(terms), sense=sense, rhs=rhs,
-                       block="parsed", dense_nnz=len(terms))
-            for (name, terms, sense, rhs) in parsed.constraints]

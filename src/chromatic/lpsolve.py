@@ -10,8 +10,13 @@ program, and writes a plain-text solution file:
     bound <float|-inf>           (best proven dual bound, no offset applied)
     v <name> <value>             (one line per variable, incumbent only)
 
-The solving core is importable (`solve_lp_text`) and is exactly what the
-in-process backend adapter calls, so both paths share one numeric route.
+The solving core is `solve_parsed`: it builds the matrix and bounds, calls
+HiGHS, maps the status and collects the values. Both routes call it: the
+LP-file route through `solve_lp_text` (this script, the `builtin-sub`
+adapter) and the in-process `builtin` adapter through `lp.parsed_view`,
+which hands it a model's rows with no LP text written or parsed. Both give
+HiGHS the same arrays.
+
 The --seed flag is accepted for interface uniformity; HiGHS runs
 deterministically for a fixed input, so it has no effect here.
 """

@@ -166,6 +166,13 @@ def _check_bound(g: Graph, upper_bound: int):
         raise ModelError("cannot build a model for an empty graph")
 
 
+def _color_bound(m: MilpModel) -> int:
+    H = m.meta.get("upper_bound")
+    if not isinstance(H, int):
+        raise ModelError(f"{m.kind} model carries no integer color bound")
+    return H
+
+
 # ---------------------------------------------------------------------------
 # assignment family
 
@@ -406,7 +413,6 @@ def apply_clique_fixings(m: MilpModel, inst: PreprocessedInstance) -> MilpModel:
     partial-ordering model.
     """
     g = m.graph
-    H = m.meta.get("upper_bound")
     clique = tuple(inst.clique)
     anchor = inst.anchor
     if anchor not in clique:
@@ -417,7 +423,7 @@ def apply_clique_fixings(m: MilpModel, inst: PreprocessedInstance) -> MilpModel:
     extra: list[Constraint] = []
 
     if m.kind in ("ass-s", "ass"):
-        assert isinstance(H, int)
+        H = _color_bound(m)
         assignments = dict(precolor)
         assignments[anchor] = len(clique)
         for u, k in assignments.items():
@@ -429,7 +435,7 @@ def apply_clique_fixings(m: MilpModel, inst: PreprocessedInstance) -> MilpModel:
             u, v = (a, b) if a in assignments else (b, a)
             _add_fixing(fixings, xv(v, assignments[u]), 0)
     elif m.kind in ("pop", "pop2"):
-        assert isinstance(H, int)
+        H = _color_bound(m)
         for u, k in precolor.items():
             for i in range(1, H):
                 _add_fixing(fixings, yv(i, u), 1 if i < k else 0)
@@ -492,15 +498,14 @@ def extract_coloring(m: MilpModel, values: Mapping[str, float]) -> Coloring:
     val = _resolved(m, values)
     colors: list[int] = []
     if m.kind in ("ass-s", "ass"):
-        H = m.meta["upper_bound"]
+        H = _color_bound(m)
         for v in range(g.n):
-            chosen = [i for i in range(1, H + 1) if val[xv(v, i)] == 1]  # type: ignore[operator]
+            chosen = [i for i in range(1, H + 1) if val[xv(v, i)] == 1]
             if len(chosen) != 1:
                 raise ExtractionError(f"vertex {v} has {len(chosen)} assigned colors")
             colors.append(chosen[0])
     elif m.kind in ("pop", "pop2"):
-        H = m.meta["upper_bound"]
-        assert isinstance(H, int)
+        H = _color_bound(m)
         for v in range(g.n):
             chain = [1] + [val[yv(i, v)] for i in range(1, H)] + [0]
             steps = [i for i in range(1, H + 1) if chain[i - 1] == 1 and chain[i] == 0]
@@ -532,8 +537,7 @@ def encode_coloring(m: MilpModel, c: Coloring) -> dict[str, int]:
     g = m.graph
     values: dict[str, int] = {}
     if m.kind in ("ass-s", "ass"):
-        H = m.meta["upper_bound"]
-        assert isinstance(H, int)
+        H = _color_bound(m)
         used = set(c.colors)
         for v in range(g.n):
             for i in range(1, H + 1):
@@ -541,8 +545,7 @@ def encode_coloring(m: MilpModel, c: Coloring) -> dict[str, int]:
         for i in range(1, H + 1):
             values[wv(i)] = 1 if i in used else 0
     elif m.kind in ("pop", "pop2"):
-        H = m.meta["upper_bound"]
-        assert isinstance(H, int)
+        H = _color_bound(m)
         for v in range(g.n):
             for i in range(1, H):
                 values[yv(i, v)] = 1 if c.colors[v] > i else 0

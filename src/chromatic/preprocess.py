@@ -109,9 +109,13 @@ def restore_coloring(r: ReducedInstance, c: Coloring) -> Coloring:
     for i, orig in enumerate(r.kept):
         colors[orig] = c.colors[i]
     for (removed, dominator) in reversed(r.restore_stack):
-        assert colors[dominator] is not None
+        if colors[dominator] is None:
+            raise ValueError(f"restore stack lifts vertex {removed} from uncolored "
+                             f"vertex {dominator}")
         colors[removed] = colors[dominator]
-    assert all(x is not None for x in colors)
+    missing = [v for v, x in enumerate(colors) if x is None]
+    if missing:
+        raise ValueError(f"restore stack leaves vertices {missing[:10]} uncolored")
     return Coloring(tuple(colors))  # type: ignore[arg-type]
 
 
@@ -187,6 +191,8 @@ def find_clique(g: Graph, upper_bound: int, mode: str, seed: int,
     """
     if trials is None:
         trials = max(1, math.ceil(CLIQUE_TRIALS_PER_DENSITY * g.m / g.n)) if g.n else 1
+    if trials < 1:
+        raise ValueError(f"find_clique needs at least one trial, got {trials}")
     deadline = time.monotonic() + time_budget
     best: tuple[int, ...] | None = None
     best_score = -1
@@ -197,8 +203,7 @@ def find_clique(g: Graph, upper_bound: int, mode: str, seed: int,
         score = clique_objective(g, clique, upper_bound, mode)
         if score > best_score:
             best, best_score = clique, score
-    assert best is not None
-    return best
+    return best  # type: ignore[return-value]
 
 
 def preprocess_pipeline(g: Graph, mode: str = "e", seed: int = 0,

@@ -7,13 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import chromatic
-from chromatic import families
+from chromatic import backend, families, lpsolve
 from chromatic.backend import (DIALECTS, BuiltinAdapter, CommandAdapter,
                                NullAdapter, SolutionParseError,
                                SolverNotFoundError, SolveStatus,
                                builtin_subprocess_adapter, integral_floor_bound,
                                load_adapter, parse_solution, solve)
 from chromatic.graph import Graph, gnp_random
+from chromatic.lp import emit_lp
 from chromatic.models import (FORMULATIONS, apply_clique_fixings,
                               build_formulation, build_pop, extract_coloring)
 from chromatic.oracle import chromatic_number_exact
@@ -140,6 +141,75 @@ class TestNormalization:
             assert result.values is None
         if result.lower_bound is not None and result.upper_bound is not None:
             assert result.lower_bound <= result.upper_bound
+
+
+ROUTE_GRAPHS = [gnp_random(n, p, seed=n) for n in (8, 10, 12) for p in (0.3, 0.7)] \
+    + [families.cycle(5)]
+
+
+def _milp_arrays(monkeypatch, call):
+    """Run `call` and return every array it hands to the one HiGHS call."""
+    seen = []
+    real = lpsolve.milp
+
+    def spy(**kwargs):
+        seen.append(kwargs)
+        return real(**kwargs)
+
+    monkeypatch.setattr(lpsolve, "milp", spy)
+    try:
+        call()
+    finally:
+        monkeypatch.setattr(lpsolve, "milp", real)
+    (kwargs,) = seen
+    (rows,) = kwargs["constraints"]
+    return {"c": kwargs["c"], "integrality": kwargs["integrality"],
+            "lb": kwargs["bounds"].lb, "ub": kwargs["bounds"].ub,
+            "indptr": rows.A.indptr, "indices": rows.A.indices, "data": rows.A.data,
+            "row_lo": rows.lb, "row_hi": rows.ub}
+
+
+class TestInProcessRoute:
+    """The builtin adapter gives HiGHS the model itself, with no LP text."""
+
+    @pytest.mark.parametrize("fixed", [False, True], ids=["plain", "fixed"])
+    @pytest.mark.parametrize("kind", FORMULATIONS)
+    def test_same_arrays_as_lp_text_route(self, monkeypatch, kind, fixed):
+        for g in ROUTE_GRAPHS:
+            inst = preprocess_pipeline(g, seed=1, clique_time_budget=5)
+            model = build_formulation(kind, inst)
+            if fixed:
+                model = apply_clique_fixings(model, inst)
+            from_text = _milp_arrays(
+                monkeypatch, lambda: lpsolve.solve_lp_text(emit_lp(model), time_limit=30))
+            in_process = _milp_arrays(monkeypatch, lambda: solve(model, time_limit=30))
+            for key, expected in from_text.items():
+                got = in_process[key]
+                assert got.dtype == expected.dtype and got.shape == expected.shape, key
+                assert got.tobytes() == expected.tobytes(), (g.n, g.m, key)
+
+    def test_no_lp_text_without_workdir(self, monkeypatch, tmp_path):
+        g = gnp_random(10, 0.5, seed=3)
+        inst = preprocess_pipeline(g, seed=3, clique_time_budget=5)
+        model = apply_clique_fixings(build_formulation("pop2", inst), inst)
+        expected_lp = emit_lp(model).encode()
+
+        def no_text(*args, **kwargs):
+            raise AssertionError("LP text used on the in-process route")
+
+        monkeypatch.setattr(backend, "emit_lp", no_text)
+        monkeypatch.setattr(lpsolve, "parse_lp", no_text)
+        monkeypatch.setattr(backend.tempfile, "TemporaryDirectory", no_text)
+        result = solve(model, time_limit=30)
+        assert result.status is SolveStatus.OPTIMAL
+        assert result.upper_bound == chromatic_number_exact(g).chi
+
+        monkeypatch.undo()
+        with_file = solve(model, time_limit=30, workdir=tmp_path / "artifacts")
+        assert (tmp_path / "artifacts" / "model.lp").read_bytes() == expected_lp
+        assert (with_file.status, with_file.lower_bound, with_file.upper_bound,
+                with_file.values) == (result.status, result.lower_bound,
+                                      result.upper_bound, result.values)
 
 
 class TestSubprocessAdapter:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from chromatic import families
 from chromatic.graph import Coloring, ColoringError, gnp_random, verify_coloring
 from chromatic.oracle import chromatic_number_exact, _greedy_clique
-from chromatic.preprocess import (NotACliqueError, boundary_edges,
+from chromatic.preprocess import (NotACliqueError, ReducedInstance, boundary_edges,
                                   clique_objective, find_clique,
                                   greedy_upper_bound, preprocess_pipeline,
                                   random_maximal_clique, remove_dominated,
@@ -83,6 +83,16 @@ class TestRestoreColoring:
         reduced = remove_dominated(g)  # reduced to one edge
         with pytest.raises(ColoringError):
             restore_coloring(reduced, Coloring((1, 1)))
+
+    def test_broken_restore_stack_raises(self):
+        edge = families.complete(2)
+        from_uncolored = ReducedInstance(edge, kept=(0, 1), restore_stack=((2, 3),),
+                                         original_n=4)
+        with pytest.raises(ValueError, match="uncolored vertex 3"):
+            restore_coloring(from_uncolored, Coloring((1, 2)))
+        never_lifted = ReducedInstance(edge, kept=(0, 1), restore_stack=(), original_n=3)
+        with pytest.raises(ValueError, match=r"vertices \[2\] uncolored"):
+            restore_coloring(never_lifted, Coloring((1, 2)))
 
 
 class TestGreedyUpperBound:
@@ -180,6 +190,12 @@ class TestFindClique:
         g = gnp_random(15, 0.5, 2)
         clique = find_clique(g, 5, "c", seed=1, trials=1)
         assert clique == random_maximal_clique(g, random.Random("clique:1:0"))
+
+    def test_zero_trials_raise(self):
+        g = gnp_random(15, 0.5, 2)
+        ub, _ = greedy_upper_bound(g)
+        with pytest.raises(ValueError, match="at least one trial"):
+            find_clique(g, ub, "e", 0, trials=0)
 
 
 class TestPipeline:
