@@ -229,3 +229,57 @@ class TestPipeline:
             assert inst.anchor in inst.clique
             degree = inst.reduced.graph.degree
             assert all(degree(inst.anchor) >= degree(v) for v in inst.clique)
+
+
+# Cliques and pipeline results pinned on the draw contract of `find_clique`
+# (per-trial `clique:<seed>:<trial>` streams, `randrange` then `choice` over
+# the ascending candidate list). Any change to the search that moves one of
+# these moves LP bytes and HiGHS runs downstream.
+# name: (graph builder, seed)
+GOLDEN_GRAPHS = {
+    **{f"gnp{n}_{p}_s{s}": (lambda n=n, p=p, s=s: gnp_random(n, p, s), s)
+       for (p, sizes) in ((0.5, (45, 40, 35)), (0.7, (35, 30, 25)), (0.9, (30, 25, 20)))
+       for s, n in enumerate(sizes)},
+    "petersen": (families.petersen, 0),
+    "1-FullIns_3": (lambda: families.full_insertion(1, 3), 0),
+}
+
+# name: (mode-c clique, mode-e clique, pipeline (clique, anchor, lb, ub))
+GOLDEN_CLIQUES = {
+    "gnp45_0.5_s0": ((4, 6, 7, 17, 25, 39, 41), (2, 7, 10, 22, 29, 36, 39),
+                     ((2, 7, 10, 22, 29, 36, 39), 39, 7, 12)),
+    "gnp40_0.5_s1": ((7, 16, 19, 29, 33, 34, 35), (7, 16, 19, 29, 33, 34, 35),
+                     ((7, 16, 19, 29, 33, 34, 35), 16, 7, 11)),
+    "gnp35_0.5_s2": ((5, 10, 13, 17, 23, 28), (5, 10, 13, 17, 23, 28),
+                     ((5, 10, 13, 17, 23, 28), 17, 6, 8)),
+    "gnp35_0.7_s0": ((0, 3, 8, 9, 11, 16, 28, 29, 33, 34), (0, 3, 8, 9, 11, 12, 16, 28, 33, 34),
+                     ((0, 3, 8, 9, 11, 16, 27, 29, 33, 34), 0, 10, 13)),
+    "gnp30_0.7_s1": ((0, 1, 6, 7, 12, 16, 17, 23, 25), (0, 1, 6, 7, 11, 16, 17, 23, 25),
+                     ((0, 1, 6, 7, 11, 16, 17, 23, 25), 7, 9, 12)),
+    "gnp25_0.7_s2": ((1, 6, 7, 8, 12, 20, 21, 24), (3, 4, 6, 7, 12, 14, 21, 24),
+                     ((3, 4, 6, 7, 12, 14, 21, 24), 6, 8, 8)),
+    "gnp30_0.9_s0": ((1, 2, 4, 7, 12, 14, 15, 16, 19, 20, 21, 22, 24, 26, 27),
+                     (0, 1, 2, 4, 7, 8, 12, 14, 15, 16, 19, 24, 26, 27, 28),
+                     ((0, 1, 2, 4, 7, 8, 11, 13, 14, 15, 18, 23, 25, 26, 27), 1, 15, 17)),
+    "gnp25_0.9_s1": ((0, 1, 2, 5, 7, 8, 9, 11, 12, 16, 17, 18, 20, 21, 23),
+                     (0, 1, 2, 5, 7, 8, 9, 11, 12, 16, 17, 18, 20, 21, 23),
+                     ((0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14), 0, 15, 15)),
+    "gnp20_0.9_s2": ((0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 18),
+                     (0, 2, 3, 4, 5, 6, 7, 8, 10, 11, 13, 14, 18),
+                     ((0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 0, 13, 13)),
+    "petersen": ((1, 6), (1, 6), ((1, 6), 1, 2, 3)),
+    "1-FullIns_3": ((6, 7, 8, 27), (6, 7, 8, 27), ((0, 1, 2, 5), 5, 4, 4)),
+}
+
+
+class TestGoldenCliques:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CLIQUES))
+    def test_cliques_and_pipeline_are_pinned(self, name):
+        build, seed = GOLDEN_GRAPHS[name]
+        g = build()
+        want_c, want_e, want_pipeline = GOLDEN_CLIQUES[name]
+        ub, _ = greedy_upper_bound(g)
+        assert find_clique(g, ub, "c", seed, trials=400) == want_c
+        assert find_clique(g, ub, "e", seed, trials=400) == want_e
+        inst = preprocess_pipeline(g, seed=seed)
+        assert (inst.clique, inst.anchor, inst.lower_bound, inst.upper_bound) == want_pipeline
