@@ -37,11 +37,11 @@ from pathlib import Path
 from . import lpsolve
 from .graph import Coloring
 from .lp import _NAME, _NUM, emit_lp, parsed_view
-from .models import MilpModel, ModelError, check_feasible, encode_coloring, objective_value
+from .models import (VALUE_TOLERANCE, ExtractionError, MilpModel, ModelError, binary_value,
+                     check_feasible, encode_coloring, objective_value)
 from .oracle import chromatic_number_exact
 
 KILL_GRACE_SECONDS = 10.0
-INTEGRALITY_EPS = 1e-6
 ENV_SOLVER_OVERRIDE = "CHROMATIC_SOLVER"
 
 
@@ -314,7 +314,7 @@ def builtin_subprocess_adapter() -> CommandAdapter:
     return CommandAdapter(
         executable=sys.executable,
         args=("-m", "chromatic.lpsolve", "{model}", "--out", "{solout}",
-              "--time-limit", "{timelimit}", "--seed", "{seed}"),
+              "--time-limit", "{timelimit}"),
         dialect="chromatic",
         name="builtin-sub",
         env=(("PYTHONPATH", pythonpath),),
@@ -427,19 +427,7 @@ _STATUS_MAP = {
 
 def integral_floor_bound(raw: float) -> int:
     """Round a dual bound up to the integer it actually proves."""
-    return math.ceil(raw - INTEGRALITY_EPS)
-
-
-def _round_values(raw_values: dict[str, float]) -> dict[str, int]:
-    out = {}
-    for name, value in raw_values.items():
-        if abs(value) <= INTEGRALITY_EPS:
-            out[name] = 0
-        elif abs(value - 1.0) <= INTEGRALITY_EPS:
-            out[name] = 1
-        else:
-            raise SolutionParseError(f"non-binary incumbent value {name}={value}")
-    return out
+    return math.ceil(raw - VALUE_TOLERANCE)
 
 
 def solve(model: MilpModel, adapter=None, time_limit: float = 3600.0, seed: int = 0,
@@ -478,8 +466,8 @@ def solve(model: MilpModel, adapter=None, time_limit: float = 3600.0, seed: int 
     lower = None
     if raw.values is not None and status in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE):
         try:
-            values = _round_values(raw.values)
-        except SolutionParseError as exc:
+            values = {name: binary_value(name, value) for name, value in raw.values.items()}
+        except ExtractionError as exc:
             return SolveResult(SolveStatus.ERROR, None, None, None, wall,
                                log=f"{exc}\n{raw.log}")
         objective = raw.objective

@@ -16,9 +16,6 @@ LP-file route through `solve_lp_text` (this script, the `builtin-sub`
 adapter) and the in-process `builtin` adapter through `lp.parsed_view`,
 which hands it a model's rows with no LP text written or parsed. Both give
 HiGHS the same arrays.
-
-The --seed flag is accepted for interface uniformity; HiGHS runs
-deterministically for a fixed input, so it has no effect here.
 """
 from __future__ import annotations
 
@@ -146,8 +143,6 @@ def main(argv=None) -> int:
     parser.add_argument("model", help="input LP file")
     parser.add_argument("--out", required=True, help="solution file to write")
     parser.add_argument("--time-limit", type=float, default=3600.0)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="accepted for interface uniformity; solving is deterministic")
     args = parser.parse_args(argv)
 
     try:

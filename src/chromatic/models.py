@@ -468,6 +468,16 @@ def apply_clique_fixings(m: MilpModel, inst: PreprocessedInstance) -> MilpModel:
 # ---------------------------------------------------------------------------
 # solution decoding and encoding
 
+def binary_value(name: str, raw: float) -> int:
+    """Round a solver value to 0 or 1 within VALUE_TOLERANCE, or raise
+    ExtractionError naming the variable."""
+    if abs(raw) <= VALUE_TOLERANCE:
+        return 0
+    if abs(raw - 1.0) <= VALUE_TOLERANCE:
+        return 1
+    raise ExtractionError(f"variable {name} has non-binary value {raw}")
+
+
 def _resolved(m: MilpModel, values: Mapping[str, float]) -> dict[str, int]:
     out: dict[str, int] = {}
     for name in m.variables:
@@ -477,12 +487,7 @@ def _resolved(m: MilpModel, values: Mapping[str, float]) -> dict[str, int]:
             raw = float(m.fixings[name])
         else:
             raw = 0.0
-        if abs(raw) <= VALUE_TOLERANCE:
-            out[name] = 0
-        elif abs(raw - 1.0) <= VALUE_TOLERANCE:
-            out[name] = 1
-        else:
-            raise ExtractionError(f"variable {name} has non-binary value {raw}")
+        out[name] = binary_value(name, raw)
     return out
 
 

@@ -135,6 +135,25 @@ def greedy_upper_bound(g: Graph) -> tuple[int, Coloring]:
     return coloring.num_colors, coloring
 
 
+def _grow_clique(adjacency, rng: random.Random) -> list[int]:
+    """One randomized maximal clique, members in the order they were drawn.
+
+    Draws `randrange(n)` for the start vertex, then `choice` over the
+    ascending list of vertices adjacent to every member so far, until that
+    list is empty. Filtering the list keeps it ascending, so every draw sees
+    the candidates in sorted order.
+    """
+    start = rng.randrange(len(adjacency))
+    clique = [start]
+    candidates = sorted(adjacency[start])
+    while candidates:
+        v = rng.choice(candidates)
+        clique.append(v)
+        neighbours = adjacency[v]
+        candidates = [u for u in candidates if u in neighbours]
+    return clique
+
+
 def random_maximal_clique(g: Graph, seed: int | random.Random) -> tuple[int, ...]:
     """Grow a uniformly random maximal clique.
 
@@ -145,14 +164,7 @@ def random_maximal_clique(g: Graph, seed: int | random.Random) -> tuple[int, ...
     if g.n < 1:
         raise ValueError("graph has no vertices")
     rng = seed if isinstance(seed, random.Random) else random.Random(f"clique:{seed}")
-    start = rng.randrange(g.n)
-    clique = [start]
-    candidates = set(g.adjacency[start])
-    while candidates:
-        v = rng.choice(sorted(candidates))
-        clique.append(v)
-        candidates &= g.adjacency[v]
-    return tuple(sorted(clique))
+    return tuple(sorted(_grow_clique(g.adjacency, rng)))
 
 
 def _check_clique(g: Graph, clique) -> None:
@@ -182,28 +194,45 @@ def clique_objective(g: Graph, clique, upper_bound: int, mode: str) -> int:
 def find_clique(g: Graph, upper_bound: int, mode: str, seed: int,
                 time_budget: float = DEFAULT_CLIQUE_TIME_BUDGET,
                 trials: int | None = None) -> tuple[int, ...]:
-    """Best clique over randomized trials, scored by `clique_objective`.
+    """Best clique over randomized trials, scored as `clique_objective` does.
 
     Runs ceil(300 * |E| / |V|) trials (at least one) or until the wall-time
-    budget runs out, whichever comes first. Each trial draws from its own
-    RNG stream derived from the seed, so results are reproducible whenever
-    the time budget is not the binding constraint.
+    budget runs out, whichever comes first. Trial t draws from its own
+    stream `random.Random(f"clique:{seed}:{t}")`: `randrange(n)` for the
+    start vertex, then `choice` over the ascending list of candidates
+    (vertices adjacent to every member so far) until none is left. So
+    results are reproducible whenever the time budget is not the binding
+    constraint. The first trial with the highest score wins. Mode 'e'
+    counts |delta(Q)| as the members' degree sum minus |Q|(|Q| - 1), the
+    ends of the edges inside Q.
     """
     if trials is None:
         trials = max(1, math.ceil(CLIQUE_TRIALS_PER_DENSITY * g.m / g.n)) if g.n else 1
     if trials < 1:
         raise ValueError(f"find_clique needs at least one trial, got {trials}")
+    if g.n < 1:
+        raise ValueError("graph has no vertices")
+    if mode not in ("c", "e"):
+        raise ValueError(f"unknown clique objective mode {mode!r}")
+    adjacency = g.adjacency
+    degree = [len(neighbours) for neighbours in adjacency]
     deadline = time.monotonic() + time_budget
-    best: tuple[int, ...] | None = None
+    best: list[int] = []
     best_score = -1
     for t in range(trials):
-        if best is not None and time.monotonic() > deadline:
+        if best and time.monotonic() > deadline:
             break
-        clique = random_maximal_clique(g, random.Random(f"clique:{seed}:{t}"))
-        score = clique_objective(g, clique, upper_bound, mode)
+        clique = _grow_clique(adjacency, random.Random(f"clique:{seed}:{t}"))
+        k = len(clique)
+        if mode == "c":
+            score = k
+        else:
+            score = k * upper_bound + sum(degree[v] for v in clique) - k * (k - 1)
         if score > best_score:
             best, best_score = clique, score
-    return best  # type: ignore[return-value]
+    found = tuple(sorted(best))
+    _check_clique(g, found)
+    return found
 
 
 def preprocess_pipeline(g: Graph, mode: str = "e", seed: int = 0,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import chromatic
 from chromatic import backend, families, lpsolve
 from chromatic.backend import (DIALECTS, BuiltinAdapter, CommandAdapter,
-                               NullAdapter, SolutionParseError,
+                               NullAdapter, RawSolve, SolutionParseError,
                                SolverNotFoundError, SolveStatus,
                                builtin_subprocess_adapter, integral_floor_bound,
                                load_adapter, parse_solution, solve)
@@ -131,6 +131,22 @@ class TestNormalization:
         assert (tmp_path / "a" / "model.lp").read_bytes() == \
             (tmp_path / "b" / "model.lp").read_bytes()
 
+    def test_non_binary_incumbent_is_an_error(self):
+        model = build_pop(families.cycle(5), 3, anchor=0)
+
+        class HalfAdapter:
+            name = "half"
+
+            def solve_model(self, model, lp_path, time_limit, seed, workdir):
+                values = {name: 0.0 for name in model.variables}
+                values[model.variables[-1]] = 0.5
+                return RawSolve("optimal", 2.0, 2.0, values, log="stub log")
+
+        result = solve(model, adapter=HalfAdapter(), time_limit=30)
+        assert result.status is SolveStatus.ERROR
+        assert result.values is None
+        assert "non-binary" in result.log and "stub log" in result.log
+
     def test_timeout_statuses_have_consistent_fields(self):
         g = gnp_random(40, 0.5, 2)
         model = build_formulation("ass", preprocess_pipeline(g, seed=2, clique_time_budget=0.5))
@@ -220,6 +236,13 @@ class TestSubprocessAdapter:
         result = solve(model, adapter=builtin_subprocess_adapter(), time_limit=60)
         assert result.status is SolveStatus.OPTIMAL
         assert result.upper_bound == 3
+
+    def test_child_gets_no_seed(self):
+        # HiGHS is deterministic for a fixed input; chromatic-lps takes no seed
+        args = builtin_subprocess_adapter().args
+        assert "--seed" not in args and "{seed}" not in args
+        with pytest.raises(SystemExit):
+            lpsolve.main(["model.lp", "--out", "sol.txt", "--seed", "1"])
 
     def test_subprocess_child_imports_package_under_relative_pythonpath(self, monkeypatch):
         # the child runs in a temporary directory, where a relative

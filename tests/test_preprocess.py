@@ -1,11 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromatic import families
-from chromatic.graph import Coloring, ColoringError, gnp_random, verify_coloring
+from chromatic.graph import Coloring, ColoringError, Graph, gnp_random, verify_coloring
 from chromatic.oracle import chromatic_number_exact, _greedy_clique
 from chromatic.preprocess import (NotACliqueError, ReducedInstance, boundary_edges,
                                   clique_objective, find_clique,
@@ -191,11 +191,65 @@ class TestFindClique:
         clique = find_clique(g, 5, "c", seed=1, trials=1)
         assert clique == random_maximal_clique(g, random.Random("clique:1:0"))
 
+    def test_unknown_mode_rejected_before_any_trial(self):
+        with pytest.raises(ValueError, match="mode 'x'"):
+            find_clique(families.complete(3), 3, "x", seed=0)
+
+    def test_empty_graph_raises(self):
+        with pytest.raises(ValueError, match="no vertices"):
+            find_clique(families.empty(0), 1, "e", seed=0)
+
     def test_zero_trials_raise(self):
         g = gnp_random(15, 0.5, 2)
         ub, _ = greedy_upper_bound(g)
         with pytest.raises(ValueError, match="at least one trial"):
             find_clique(g, ub, "e", 0, trials=0)
+
+
+@st.composite
+def small_graphs(draw, max_n=14):
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, kept in zip(pairs, keep) if kept])
+
+
+def reference_find_clique(g, upper_bound, mode, seed, trials):
+    """The trial loop as first written: a candidate set re-sorted for every
+    draw, and every clique scored through `clique_objective`."""
+    best, best_score = None, -1
+    for t in range(trials):
+        rng = random.Random(f"clique:{seed}:{t}")
+        start = rng.randrange(g.n)
+        clique = [start]
+        candidates = set(g.adjacency[start])
+        while candidates:
+            v = rng.choice(sorted(candidates))
+            clique.append(v)
+            candidates &= g.adjacency[v]
+        clique = tuple(sorted(clique))
+        score = clique_objective(g, clique, upper_bound, mode)
+        if score > best_score:
+            best, best_score = clique, score
+    return best
+
+
+class TestFindCliqueAgainstReference:
+    @settings(max_examples=150)
+    @given(small_graphs(), st.integers(0, 10_000), st.sampled_from("ce"), st.integers(1, 30),
+           st.integers(1, 14))
+    def test_same_first_best_clique(self, g, seed, mode, trials, upper_bound):
+        want = reference_find_clique(g, upper_bound, mode, seed, trials)
+        assert find_clique(g, upper_bound, mode, seed, trials=trials) == want
+
+    @given(small_graphs(), st.integers(0, 10_000), st.integers(1, 14))
+    def test_degree_sum_counts_the_boundary(self, g, seed, upper_bound):
+        clique = random_maximal_clique(g, seed)
+        k = len(clique)
+        degree_sum = sum(g.degree(v) for v in clique)
+        assert len(boundary_edges(g, clique)) == degree_sum - k * (k - 1)
+        assert (clique_objective(g, clique, upper_bound, "e")
+                == k * upper_bound + degree_sum - k * (k - 1))
 
 
 class TestPipeline:
