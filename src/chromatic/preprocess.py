@@ -203,8 +203,8 @@ def find_clique(g: Graph, upper_bound: int, mode: str, seed: int,
     (vertices adjacent to every member so far) until none is left. So
     results are reproducible whenever the time budget is not the binding
     constraint. The first trial with the highest score wins. Mode 'e'
-    counts |delta(Q)| as the members' degree sum minus |Q|(|Q| - 1), the
-    ends of the edges inside Q.
+    counts |delta(Q)| as the members' degree sum minus |Q|(|Q| - 1), since
+    each edge inside Q adds 2 to that sum.
     """
     if trials is None:
         trials = max(1, math.ceil(CLIQUE_TRIALS_PER_DENSITY * g.m / g.n)) if g.n else 1
