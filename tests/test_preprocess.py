@@ -207,8 +207,8 @@ class TestFindClique:
 
 
 @st.composite
-def small_graphs(draw, max_n=14):
-    n = draw(st.integers(1, max_n))
+def small_graphs(draw):
+    n = draw(st.integers(1, 14))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph.from_edges(n, [e for e, kept in zip(pairs, keep) if kept])
