@@ -289,7 +289,7 @@ class TestPipeline:
 # (per-trial `clique:<seed>:<trial>` streams, `randrange` then `choice` over
 # the ascending candidate list). Any change to the search that moves one of
 # these moves LP bytes and HiGHS runs downstream.
-# name: (graph builder, seed)
+# name: (function that makes the graph, seed)
 GOLDEN_GRAPHS = {
     **{f"gnp{n}_{p}_s{s}": (lambda n=n, p=p, s=s: gnp_random(n, p, s), s)
        for (p, sizes) in ((0.5, (45, 40, 35)), (0.7, (35, 30, 25)), (0.9, (30, 25, 20)))
