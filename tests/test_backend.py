@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -226,6 +228,78 @@ class TestInProcessRoute:
         assert (with_file.status, with_file.lower_bound, with_file.upper_bound,
                 with_file.values) == (result.status, result.lower_bound,
                                       result.upper_bound, result.values)
+
+
+GOLDEN_GRAPHS = ROUTE_GRAPHS + [gnp_random(48, 0.9, seed=1)]  # reduces to 47 vertices
+
+
+@functools.lru_cache(maxsize=None)
+def _golden_instance(position: int):
+    return preprocess_pipeline(GOLDEN_GRAPHS[position], seed=1, clique_time_budget=60)
+
+
+def _digest_arrays(arrays: dict) -> str:
+    h = hashlib.sha256()
+    for key, array in arrays.items():
+        h.update(f"{key}:{array.dtype.str}:{array.shape}:".encode())
+        h.update(array.tobytes())
+    return h.hexdigest()
+
+
+def _captured_milp_arrays(monkeypatch, model):
+    """The arrays `solve` hands to HiGHS, captured without running HiGHS."""
+    def refuse(**kwargs):
+        raise ValueError("arrays captured")
+
+    monkeypatch.setattr(lpsolve, "milp", refuse)
+    try:
+        return _milp_arrays(monkeypatch, lambda: solve(model, time_limit=30))
+    finally:
+        monkeypatch.undo()
+
+
+# SHA-256 of the emitted LP bytes and of the HiGHS arrays, each over all of
+# GOLDEN_GRAPHS in order, per (formulation, clique fixings).
+GOLDEN_MODEL_DIGESTS = {
+    ('ass-s', False): ("8801d575c1efbe898354fa0b472963d490230fbd6bdeb998c783e516c0465855",
+                     "4766495ce4226b1efaee9d38c93e791fa3698d9dda857f793451594949b88cb4"),
+    ('ass-s', True): ("2fad47070e3b7dcdad282e8459c8bbac8bd30e8e32a9fc7602059c4dc8a34bc6",
+                    "6288761a7c76fd6b32f2e7fef102cce926df834dff0fe209b0b7b9b4fc1af5ad"),
+    ('ass', False): ("2606a77f8ff9862eff9746039e1e5c2bc90cf5ca25a9667f9f4c6e164e7deccd",
+                   "3da8bd24c65c3ad8f1f7475a78bb747860a3650a1d4841c4e232467c011f499a"),
+    ('ass', True): ("5192218c73119a9e1abecc1d51ea97fde59150cba419a297f8e6872bcfb9b718",
+                  "ea207db0bcfb2a77a9dfbc741e8865a9032c7423be16d7034c4e776980357bea"),
+    ('pop', False): ("47b8727a63f83bc7a0dafd22b7fe641c69a703f49527e269fc3f7e5b00770d10",
+                   "d5c2fe2a405fc7e0c7534bc477ee2dec04b1716cc4ce47cc9b543749a5de9462"),
+    ('pop', True): ("9f059f38d5adfae13e7a7b3f343111486bcbbd7640da8c3bffa01c3e6580cf51",
+                  "49290cb4ca2c13a665b21406737da9bdf69a9830f083ffdfa787f7422e1aca38"),
+    ('pop2', False): ("3d42125ff04d249f7e567b49792cd9bfc241062b5b4794ce7ccc33e71b641334",
+                    "62d985155882e7ea29ed6f12edce7e17962388f2d2feb97a325df61d692e82a1"),
+    ('pop2', True): ("e79ce3df5e5c5bdcfe74e277c86bd23f4b4f63d0ea3dec8f3b0eb04f5e1c17dc",
+                   "25c505490bab634afc955c00f5888232e566617c76e18b21f324e16a16f27196"),
+    ('rep', False): ("aeedcdcaeefbbb406479e4090e8d3bb15f9bdc6330f6f1c34ad6078c0f5ac771",
+                   "bda36b9d5c179e460ee5ab996d6fe471422b5ca3ea595d2b7e1062ee5a79cb60"),
+    ('rep', True): ("90a6ab0740e213bb044e7a7eab33d81b8af74a306690e098856f4d0f21d62010",
+                  "e5eaad86a417df6bd558d439b3cf23c974bb4b4ed4a54d29c996e078b7c5cf73"),
+}
+
+
+class TestGoldenModelBytes:
+    """Both routes are pinned to fixed bytes, not only to each other."""
+
+    @pytest.mark.parametrize("fixed", [False, True], ids=["plain", "fixed"])
+    @pytest.mark.parametrize("kind", FORMULATIONS)
+    def test_lp_text_and_highs_arrays(self, monkeypatch, kind, fixed):
+        lp_hash, arrays_hash = hashlib.sha256(), hashlib.sha256()
+        for position in range(len(GOLDEN_GRAPHS)):
+            inst = _golden_instance(position)
+            model = build_formulation(kind, inst)
+            if fixed:
+                model = apply_clique_fixings(model, inst)
+            lp_hash.update(emit_lp(model).encode())
+            arrays_hash.update(_digest_arrays(_captured_milp_arrays(monkeypatch, model)).encode())
+        got = (lp_hash.hexdigest(), arrays_hash.hexdigest())
+        assert got == GOLDEN_MODEL_DIGESTS[kind, fixed]
 
 
 class TestSubprocessAdapter:
