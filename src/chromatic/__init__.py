@@ -6,9 +6,8 @@ model), a dominance/clique preprocessing pipeline, LP-file emission with
 pluggable solver adapters, an exact oracle for small graphs, and a
 benchmark CLI.
 """
-from .backend import (BuiltinAdapter, CommandAdapter, NullAdapter, SolveResult,
-                      SolveStatus, builtin_subprocess_adapter, load_adapter,
-                      parse_solution, solve)
+from .backend import (BuiltinAdapter, CommandAdapter, SolveResult, SolveStatus,
+                      builtin_subprocess_adapter, load_adapter, parse_solution, solve)
 from .bench import BenchmarkRecord, RunConfig, generate_set, run_bench, solve_instance
 from .graph import (Coloring, Graph, VerifyReport, complement, gnp_random,
                     parse_dimacs, verify_coloring, write_dimacs)
@@ -25,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchmarkRecord", "BuiltinAdapter", "Coloring", "CommandAdapter", "Graph",
-    "MilpModel", "ModelStats", "NullAdapter", "OracleResult",
+    "MilpModel", "ModelStats", "OracleResult",
     "PreprocessedInstance", "ReducedInstance", "RunConfig", "SolveResult",
     "SolveStatus", "VerifyReport", "apply_clique_fixings", "build_ass",
     "build_ass_s", "build_formulation", "build_pop", "build_pop2", "build_rep",

@@ -1,18 +1,15 @@
 """Solve backend: solver adapters, LP files where they are used, result normalization.
 
-Three adapter styles solve a model:
+Two adapter styles solve a model:
 
-  BuiltinAdapter    hands the model's rows straight to the bundled HiGHS
-                    core in-process (the default; no external binary, no LP
-                    text written or parsed)
+  BuiltinAdapter    hands the model's row blocks straight to the bundled
+                    HiGHS core in-process (the default; no external binary,
+                    no LP text written or parsed)
   CommandAdapter    writes the model to `model.lp` in a working directory
                     and runs any external solver on it as a subprocess from
                     an argv template with {model}/{timelimit}/{seed}/{solout}
                     placeholders, reading its output through a per-dialect
                     regex table ("chromatic", "cbc", "gurobi", "glpsol")
-  NullAdapter       answers tiny models from the exact oracle by encoding a
-                    witness coloring into the formulation; lets the test
-                    suite run with no MILP machinery at all
 
 Raw solver numbers are normalized once, here: the model's constant offset
 is re-applied, dual bounds are rounded up to integers (every formulation
@@ -35,11 +32,8 @@ from enum import Enum
 from pathlib import Path
 
 from . import lpsolve
-from .graph import Coloring
-from .lp import _NAME, _NUM, emit_lp, parsed_view
-from .models import (VALUE_TOLERANCE, ExtractionError, MilpModel, ModelError, binary_value,
-                     check_feasible, encode_coloring, objective_value)
-from .oracle import chromatic_number_exact
+from .lp import _NAME, _NUM, emit_lp
+from .models import VALUE_TOLERANCE, ExtractionError, MilpModel, binary_value, objective_value
 
 KILL_GRACE_SECONDS = 10.0
 ENV_SOLVER_OVERRIDE = "CHROMATIC_SOLVER"
@@ -214,9 +208,10 @@ def parse_solution(text: str, dialect: str | Dialect) -> ParsedSolution:
 class BuiltinAdapter:
     """Default adapter: the bundled HiGHS core, run in-process on the model.
 
-    The model's rows, fixings and variable order reach `lpsolve.solve_parsed`
-    through `lp.parsed_view`, as `chromatic-lps` gets them from the LP file,
-    so HiGHS sees the same arrays on both routes. It reads no file.
+    `lpsolve.solve_parsed` takes the built model itself, its row blocks,
+    fixings and column order, as `chromatic-lps` takes what `parse_lp`
+    reads from the LP file, so HiGHS sees the same arrays on both routes.
+    It reads no file.
     """
 
     name = "builtin"
@@ -224,7 +219,7 @@ class BuiltinAdapter:
 
     def solve_model(self, model: MilpModel, lp_path: Path | None, time_limit: float,
                     seed: int, workdir: Path | None) -> RawSolve:
-        outcome = lpsolve.solve_parsed(parsed_view(model), time_limit=time_limit)
+        outcome = lpsolve.solve_parsed(model, time_limit=time_limit)
         return RawSolve(status_word=outcome.status, objective=outcome.objective,
                         bound=outcome.bound, values=outcome.values,
                         log=outcome.message)
@@ -321,64 +316,10 @@ def builtin_subprocess_adapter() -> CommandAdapter:
     )
 
 
-@dataclass(frozen=True)
-class NullAdapter:
-    """Oracle-backed stand-in for environments with no MILP solver.
-
-    Only for tiny models built by this package: it computes the chromatic
-    number exactly, permutes the witness coloring onto any clique precolors
-    (anchor to the top color for the partial-ordering family), encodes it
-    into the formulation's variables, and reports it as optimal.
-    """
-
-    cap: int = 16
-    name: str = "null"
-
-    def solve_model(self, model: MilpModel, lp_path: Path | None, time_limit: float,
-                    seed: int, workdir: Path | None) -> RawSolve:
-        g = model.graph
-        if g.n > self.cap:
-            raise ValueError(f"null adapter handles at most {self.cap} vertices, got {g.n}")
-        oracle = chromatic_number_exact(g, cap=self.cap)
-        chi = oracle.chi
-        upper = model.meta.get("upper_bound")
-        if isinstance(upper, int) and chi > upper:
-            return RawSolve("infeasible", None, None, None,
-                            log=f"chromatic number {chi} exceeds color bound {upper}")
-        coloring = self._align(model, oracle.witness, chi)
-        values = encode_coloring(model, coloring)
-        violated = check_feasible(model, values)
-        if violated:
-            raise ModelError(f"oracle encoding violated {violated[:5]}")
-        raw_obj = objective_value(model, values, with_offset=False)
-        return RawSolve("optimal", raw_obj, raw_obj, dict(values), log="oracle")
-
-    def _align(self, model: MilpModel, witness: Coloring, chi: int) -> Coloring:
-        clique = tuple(model.meta.get("clique") or ())
-        anchor = model.meta.get("anchor")
-        targets: dict[int, int] = {}
-        if model.fixings and model.kind in ("ass-s", "ass", "pop", "pop2"):
-            others = tuple(v for v in sorted(clique) if v != anchor)
-            for k, u in enumerate(others, start=1):
-                targets[witness.colors[u]] = k
-            if isinstance(anchor, int):
-                targets[witness.colors[anchor]] = len(clique) if model.kind in ("ass-s", "ass") else chi
-        elif model.kind in ("pop", "pop2") and isinstance(anchor, int):
-            targets[witness.colors[anchor]] = chi
-        if not targets:
-            return witness
-        free_targets = [c for c in range(1, chi + 1) if c not in targets.values()]
-        mapping = dict(targets)
-        for c in range(1, chi + 1):
-            if c not in mapping:
-                mapping[c] = free_targets.pop(0)
-        return Coloring(tuple(mapping[c] for c in witness.colors))
-
-
 # ---------------------------------------------------------------------------
 # adapter configuration
 
-BUILTIN_ADAPTERS = ("builtin", "builtin-sub", "null")
+BUILTIN_ADAPTERS = ("builtin", "builtin-sub")
 
 
 def load_adapter(spec: str):
@@ -391,8 +332,6 @@ def load_adapter(spec: str):
         return BuiltinAdapter()
     if spec == "builtin-sub":
         return builtin_subprocess_adapter()
-    if spec == "null":
-        return NullAdapter()
     path = Path(spec)
     if not path.exists():
         raise SolverNotFoundError(f"unknown adapter {spec!r}: not a built-in name "

@@ -9,9 +9,11 @@ no MILP is solved at all.
 CSV rows follow the benchmark-table convention: instance, sizes, optional
 hardness class (carried from a manifest, never computed), formulation,
 clique mode, bounds, time, status, seed. Times are wall-clock seconds of
-the `backend.solve` call: matrix assembly and HiGHS for `builtin`, plus the
-LP file, the solver process and its solution file for subprocess adapters.
-Preprocessing time is its own column. Summary rows
+the `backend.solve` call: stacking the model's row blocks into the sparse
+matrix and HiGHS for `builtin`, plus the LP file, the solver process and
+its solution file for subprocess adapters. Preprocessing time is its own
+column. A model run that raises becomes a row with status
+`error:<ExceptionType>`; the outcome keeps the full message. Summary rows
 (per density and formulation: mean time over solved instances, number of
 unsolved) go to a separate `.summary.csv`.
 """
@@ -90,6 +92,7 @@ class InstanceOutcome:
     preprocessed: PreprocessedInstance
     prep_time: float
     colorings: dict[str, Coloring] = field(default_factory=dict)
+    errors: dict[str, str] = field(default_factory=dict)  # model -> "Type: message"
 
 
 def solve_instance(g: Graph, name: str, cfg: RunConfig,
@@ -142,6 +145,7 @@ def solve_instance(g: Graph, name: str, cfg: RunConfig,
                 status=result.status.value, seed=cfg.seed,
                 prep_time=prep_time, hardness_class=hardness_class))
         except Exception as exc:  # noqa: BLE001 - a failed model run becomes an error row
+            outcome.errors[model_name] = f"{type(exc).__name__}: {exc}"
             outcome.records.append(BenchmarkRecord(
                 instance=name, n=g.n, m=g.m, model=model_name,
                 clique_mode=cfg.clique_mode, lb=None, ub=None, time=0.0,

@@ -73,7 +73,7 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
                      help="wall-time budget for the randomized clique search")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--adapter", default="builtin",
-                     help="builtin | builtin-sub | null | path to adapter JSON")
+                     help="builtin | builtin-sub | path to adapter JSON")
     sub.add_argument("--out", type=Path, default=None, metavar="PATH",
                      help="output directory (solve) or records CSV file (bench)")
     sub.add_argument("--desk-scale", action="store_true",
@@ -103,6 +103,8 @@ def cmd_solve(args) -> int:
         ub = "inf" if record.ub is None else record.ub
         print(f"  {record.model:5s} lb={lb} ub={ub} "
               f"time={record.time:.2f}s status={record.status}")
+        if record.model in outcome.errors:
+            print(f"        {outcome.errors[record.model]}")
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
         csv_path = args.out / f"{name}.csv"

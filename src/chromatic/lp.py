@@ -8,17 +8,19 @@ portably inside the format, so it travels as a structured comment and is
 re-applied by whoever normalizes results.
 
 The parser reads the same dialect back (plus minor spacing/keyword
-variations); it feeds the bundled solver's `chromatic-lps` child and the
-emit/parse self-checks. `parsed_view` gives the same content straight from
-a model, for the in-process solve, which writes and parses no text.
+variations) into the model container the builders make, `MilpModel`, with
+all rows in one block; it feeds the bundled solver's `chromatic-lps` child
+and the emit/parse self-checks. The in-process solve writes and parses no
+text: it hands the built model to the solver as it is.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator
 
-from .models import MilpModel
+import numpy as np
+
+from .models import MilpModel, RowBlock, row_sense
 
 MAX_LINE = 200
 
@@ -27,47 +29,25 @@ class LpParseError(ValueError):
     """Malformed LP text; message carries the 1-based line number."""
 
 
-@dataclass
-class ParsedLp:
-    offset: float = 0.0
-    minimize: bool = True
-    objective: list[tuple[str, float]] = field(default_factory=list)
-    constraints: list[tuple[str, Sequence[tuple[str, float]], str, float]] = \
-        field(default_factory=list)
-    bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
-    binaries: list[str] = field(default_factory=list)
-
-    def variables(self) -> list[str]:
-        seen = dict.fromkeys(self.binaries)
-        for name, _ in self.objective:
-            seen.setdefault(name)
-        for _, terms, _, _ in self.constraints:
-            for name, _ in terms:
-                seen.setdefault(name)
-        for name in self.bounds:
-            seen.setdefault(name)
-        return list(seen)
-
-
 def _coef_str(coef: float) -> str:
     if coef == int(coef):
         return str(int(coef))
     return repr(coef)
 
 
-def _terms_str(terms) -> str:
-    if not terms:
+def _term(name: str, coef: float) -> str:
+    """A term as it follows another in an expression: "+ x", "- 2 x"."""
+    body = name if abs(coef) == 1 else f"{_coef_str(abs(coef))} {name}"
+    return f"{'-' if coef < 0 else '+'} {body}"
+
+
+def _expression(joined: str, first_coef: float) -> str:
+    """`_term` tokens joined by spaces as an expression: the first drops its "+"."""
+    if not joined:
         return "0 __zero__"
-    parts: list[str] = []
-    for idx, (name, coef) in enumerate(terms):
-        sign = "-" if coef < 0 else "+"
-        mag = abs(coef)
-        body = name if mag == 1 else f"{_coef_str(mag)} {name}"
-        if idx == 0:
-            parts.append(body if coef > 0 else f"- {body}")
-        else:
-            parts.append(f"{sign} {body}")
-    return " ".join(parts)
+    if first_coef > 0:
+        return joined[2:]
+    return joined if first_coef < 0 else f"- {joined[2:]}"
 
 
 def _wrap(line: str) -> list[str]:
@@ -86,21 +66,38 @@ def _wrap(line: str) -> list[str]:
     return out
 
 
+def _row_lines(m: MilpModel) -> list[str]:
+    """The Subject To section, rendered block by block from the column arrays."""
+    plus = [f"+ {name}" for name in m.variables]
+    minus = [f"- {name}" for name in m.variables]
+    lines: list[str] = []
+    for block in m.blocks:
+        cols, coefs, ptr = block.cols.tolist(), block.coefs.tolist(), block.indptr.tolist()
+        tokens = [plus[j] if coef == 1 else minus[j] if coef == -1 else _term(m.variables[j], coef)
+                  for j, coef in zip(cols, coefs)]
+        bounds = list(zip(block.lo.tolist(), block.hi.tolist()))
+        tails = {}
+        for lo, hi in set(bounds):
+            sense, rhs = row_sense(lo, hi)
+            tails[lo, hi] = f"{sense} {_coef_str(rhs)}"
+        for name, start, stop, bound in zip(block.names(), ptr, ptr[1:], bounds):
+            body = _expression(" ".join(tokens[start:stop]), coefs[start] if stop > start else 0)
+            line = f" {name}: {body} {tails[bound]}"
+            if len(line) <= MAX_LINE:
+                lines.append(line)
+            else:
+                lines.extend(_wrap(line))
+    return lines
+
+
 def emit_lp(m: MilpModel) -> str:
     """Serialize a model to LP text; identical models give identical bytes."""
-    seen = set()
-    for name in m.variables:
-        if name in seen:
-            raise ValueError(f"variable name collision: {name}")
-        seen.add(name)
-
     lines = [f"\\ model: {m.kind}", f"\\ offset: {_coef_str(m.offset)}"]
     lines.append("Minimize")
-    lines.extend(_wrap(" obj: " + _terms_str(m.objective)))
+    objective = " ".join(_term(name, coef) for name, coef in m.objective)
+    lines.extend(_wrap(" obj: " + _expression(objective, m.objective[0][1] if objective else 0)))
     lines.append("Subject To")
-    for con in m.constraints:
-        rendered = f" {con.name}: {_terms_str(con.terms)} {con.sense} {_coef_str(con.rhs)}"
-        lines.extend(_wrap(rendered))
+    lines.extend(_row_lines(m))
     if m.fixings:
         lines.append("Bounds")
         for name in m.variables:
@@ -111,19 +108,6 @@ def emit_lp(m: MilpModel) -> str:
         lines.append(" " + " ".join(m.variables[chunk:chunk + 12]))
     lines.append("End")
     return "\n".join(lines) + "\n"
-
-
-def parsed_view(m: MilpModel) -> ParsedLp:
-    """What `parse_lp(emit_lp(m))` reads back, taken from the model without text.
-
-    Rows, objective and fixings (as lo = hi bounds) are the model's own, and
-    every variable is binary in `m.variables` order, as the emitted Binaries
-    section lists them, so `variables()` gives the same column order.
-    """
-    return ParsedLp(offset=m.offset, minimize=True, objective=list(m.objective),
-                    constraints=[(c.name, c.terms, c.sense, c.rhs) for c in m.constraints],
-                    bounds={name: (value, value) for name, value in m.fixings.items()},
-                    binaries=list(m.variables))
 
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_.\[\]]*"
@@ -175,8 +159,12 @@ def _section_of(word: str) -> tuple[str, bool | None]:
 class _RowAccumulator:
     """Collects possibly-wrapped objective/constraint rows and parses on flush."""
 
-    def __init__(self, parsed: ParsedLp):
-        self.parsed = parsed
+    def __init__(self):
+        self.objective: list[tuple[str, float]] = []
+        self.labels: list[str] = []
+        self.terms: list[list[tuple[str, float]]] = []
+        self.lo: list[float] = []
+        self.hi: list[float] = []
         self.kind: str | None = None
         self.label: str | None = None
         self.body = ""
@@ -196,7 +184,7 @@ class _RowAccumulator:
         if self.kind is None:
             return
         if self.kind == "objective":
-            self.parsed.objective.extend(_parse_terms(self.body, self.lineno))
+            self.objective.extend(_parse_terms(self.body, self.lineno))
         else:
             sense_match = None
             for m in _SENSE_RE.finditer(self.body):
@@ -211,33 +199,62 @@ class _RowAccumulator:
             except ValueError:
                 raise LpParseError(f"line {self.lineno}: non-numeric right-hand side "
                                    f"{rhs_text.strip()!r}") from None
-            label = self.label or f"c{len(self.parsed.constraints)}"
-            self.parsed.constraints.append((label, _parse_terms(lhs, self.lineno), sense, rhs))
+            self.labels.append(self.label or f"c{len(self.labels)}")
+            self.terms.append(_parse_terms(lhs, self.lineno))
+            self.lo.append(-float("inf") if sense == "<=" else rhs)
+            self.hi.append(float("inf") if sense == ">=" else rhs)
         self.kind = None
         self.label = None
         self.body = ""
 
+    def model(self, offset: float, minimize: bool, bounds: dict[str, tuple[float, float]],
+              binaries: list[str]) -> MilpModel:
+        """The rows as one block over columns in first-seen order: the
+        binaries, then names from the objective, the rows and the bounds."""
+        columns: dict[str, int] = {}
+        for name in binaries:
+            columns.setdefault(name, len(columns))
+        num_binary = len(columns)
+        for name, _ in self.objective:
+            columns.setdefault(name, len(columns))
+        cols = [columns.setdefault(name, len(columns)) for terms in self.terms for name, _ in terms]
+        for name in bounds:
+            columns.setdefault(name, len(columns))
+        indptr = np.zeros(len(self.terms) + 1, dtype=np.int64)
+        np.cumsum(np.array([len(terms) for terms in self.terms], dtype=np.int64), out=indptr[1:])
+        labels = self.labels
+        rows = RowBlock("lp", indptr=indptr, cols=np.array(cols, dtype=np.int64),
+                        coefs=np.array([coef for terms in self.terms for _, coef in terms],
+                                       dtype=float),
+                        lo=np.array(self.lo, dtype=float), hi=np.array(self.hi, dtype=float),
+                        dense_width=None, names=lambda: labels)
+        return MilpModel(kind="lp", variables=tuple(columns), blocks=(rows,),
+                         objective=tuple(self.objective), offset=offset, fixings={}, meta={},
+                         bounds=bounds, num_binary=num_binary, minimize=minimize)
 
-def parse_lp(text: str) -> ParsedLp:
-    """Parse LP text (the emitted dialect and close variants)."""
-    out = ParsedLp()
-    rows = _RowAccumulator(out)
+
+def parse_lp(text: str) -> MilpModel:
+    """Parse LP text (the emitted dialect and close variants) into a model."""
+    rows = _RowAccumulator()
+    offset, minimize = 0.0, True
+    bounds: dict[str, tuple[float, float]] = {}
+    binaries: list[str] = []
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped_comment = raw.split("\\")[0]
         if raw.lstrip().startswith("\\"):
             offset_match = re.match(r"\\\s*offset:\s*(" + _NUM + ")", raw.lstrip())
             if offset_match:
-                out.offset = float(offset_match.group(1))
+                offset = float(offset_match.group(1))
             continue
         line = stripped_comment.strip()
         if not line:
             continue
         if _SECTION_RE.match(line):
             rows.flush()
-            section, minimize = _section_of(line)
-            if minimize is not None:
-                out.minimize = minimize
+            section, sense = _section_of(line)
+            if sense is not None:
+                minimize = sense
             continue
         if section == "objective":
             label_match = _LABEL_RE.match(line)
@@ -263,24 +280,24 @@ def parse_lp(text: str) -> ParsedLp:
             free = re.match(rf"^({_NAME})\s+free$", line, re.IGNORECASE)
             if fixed:
                 val = float(fixed.group(2))
-                out.bounds[fixed.group(1)] = (val, val)
+                bounds[fixed.group(1)] = (val, val)
             elif ranged:
-                out.bounds[ranged.group(2)] = (float(ranged.group(1)), float(ranged.group(3)))
+                bounds[ranged.group(2)] = (float(ranged.group(1)), float(ranged.group(3)))
             elif free:
-                out.bounds[free.group(1)] = (float("-inf"), float("inf"))
+                bounds[free.group(1)] = (float("-inf"), float("inf"))
             else:
                 raise LpParseError(f"line {lineno}: cannot parse bound {line!r}")
         elif section == "binaries":
             for token in line.split():
                 if not re.fullmatch(_NAME, token):
                     raise LpParseError(f"line {lineno}: bad variable name {token!r}")
-                out.binaries.append(token)
+                binaries.append(token)
         elif section == "done":
             raise LpParseError(f"line {lineno}: content after End")
         else:
             raise LpParseError(f"line {lineno}: content before any section: {line!r}")
     rows.flush()
-    if not out.binaries and not out.objective and not out.constraints:
+    if not binaries and not rows.objective and not rows.terms:
         raise LpParseError("no LP content found")
-    return out
+    return rows.model(offset, minimize, bounds, binaries)
 

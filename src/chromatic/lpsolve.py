@@ -10,12 +10,13 @@ program, and writes a plain-text solution file:
     bound <float|-inf>           (best proven dual bound, no offset applied)
     v <name> <value>             (one line per variable, incumbent only)
 
-The solving core is `solve_parsed`: it builds the matrix and bounds, calls
+The solving core is `solve_parsed`: it takes a `MilpModel`, stacks its row
+blocks into one sparse matrix with numpy, sets the column bounds, calls
 HiGHS, maps the status and collects the values. Both routes call it: the
-LP-file route through `solve_lp_text` (this script, the `builtin-sub`
-adapter) and the in-process `builtin` adapter through `lp.parsed_view`,
-which hands it a model's rows with no LP text written or parsed. Both give
-HiGHS the same arrays.
+LP-file route on what `parse_lp` reads (`solve_lp_text`: this script, the
+`builtin-sub` adapter) and the in-process `builtin` adapter on the built
+model itself, with no LP text written or parsed. Both give HiGHS the same
+arrays.
 """
 from __future__ import annotations
 
@@ -28,7 +29,8 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_matrix
 
-from .lp import LpParseError, ParsedLp, parse_lp
+from .lp import LpParseError, parse_lp
+from .models import MilpModel
 
 STATUS_WORDS = ("optimal", "feasible", "infeasible", "unbounded", "nosolution", "error")
 
@@ -43,46 +45,38 @@ class LpSolveOutcome:
     wall_time: float
 
 
-def solve_parsed(parsed: ParsedLp, time_limit: float = 3600.0) -> LpSolveOutcome:
-    names = parsed.variables()
-    index = {name: j for j, name in enumerate(names)}
+def solve_parsed(model: MilpModel, time_limit: float = 3600.0) -> LpSolveOutcome:
+    names = model.variables
     nvar = len(names)
     started = time.monotonic()
 
     c = np.zeros(nvar)
-    for name, coef in parsed.objective:
-        c[index[name]] += coef
-    sign = 1.0 if parsed.minimize else -1.0
+    for name, coef in model.objective:
+        c[model.columns[name]] += coef
+    sign = 1.0 if model.minimize else -1.0
     c *= sign
 
-    binary = set(parsed.binaries)
+    binary = nvar if model.num_binary is None else model.num_binary
     lower = np.zeros(nvar)
-    upper = np.array([1.0 if name in binary else np.inf for name in names])
-    for name, (lo, hi) in parsed.bounds.items():
-        j = index[name]
-        lower[j], upper[j] = lo, hi
-    integrality = np.array([1.0 if name in binary else 0.0 for name in names])
+    upper = np.full(nvar, np.inf)
+    upper[:binary] = 1.0
+    for name, value in model.fixings.items():
+        lower[model.columns[name]] = upper[model.columns[name]] = value
+    for name, (lo, hi) in model.bounds.items():
+        lower[model.columns[name]], upper[model.columns[name]] = lo, hi
+    integrality = np.zeros(nvar)
+    integrality[:binary] = 1.0
 
     constraints = []
-    if parsed.constraints:
-        rows, cols, vals = [], [], []
-        lo, hi = [], []
-        for r, (_, terms, sense, rhs) in enumerate(parsed.constraints):
-            for name, coef in terms:
-                rows.append(r)
-                cols.append(index[name])
-                vals.append(coef)
-            if sense == "<=":
-                lo.append(-np.inf)
-                hi.append(rhs)
-            elif sense == ">=":
-                lo.append(rhs)
-                hi.append(np.inf)
-            else:
-                lo.append(rhs)
-                hi.append(rhs)
-        matrix = csr_matrix((vals, (rows, cols)), shape=(len(parsed.constraints), nvar))
-        constraints = [LinearConstraint(matrix, lo, hi)]
+    blocks = model.blocks
+    if model.num_rows:
+        widths = np.concatenate([np.diff(block.indptr) for block in blocks])
+        rows = np.repeat(np.arange(len(widths)), widths)
+        cols = np.concatenate([block.cols for block in blocks])
+        coefs = np.concatenate([block.coefs for block in blocks])
+        matrix = csr_matrix((coefs, (rows, cols)), shape=(len(widths), nvar))
+        constraints = [LinearConstraint(matrix, np.concatenate([block.lo for block in blocks]),
+                                        np.concatenate([block.hi for block in blocks]))]
 
     try:
         res = milp(c=c, constraints=constraints, integrality=integrality,
@@ -114,9 +108,7 @@ def solve_parsed(parsed: ParsedLp, time_limit: float = 3600.0) -> LpSolveOutcome
     else:
         status = "error"
 
-    values = None
-    if incumbent:
-        values = {name: float(res.x[index[name]]) for name in names}
+    values = dict(zip(names, res.x.tolist())) if incumbent else None
     return LpSolveOutcome(status, objective, bound, values, str(res.message), wall)
 
 

@@ -15,10 +15,17 @@ return immutable, solver-agnostic models:
          ordered pairs plus r_u_u
 
 Variable names (x_v_i, w_i, y_i_v, r_u_v; vertices 0-based, colors
-1-based) are fixed so emitted LP files diff deterministically.
+1-based) are fixed so emitted LP files diff deterministically. Column j of
+a model is `variables[j]`; each builder lays its variables out in a fixed
+order (vertex-major, then color), so a column is plain index arithmetic.
 
-Each constraint carries its family tag (`block`) and the coefficient count
-of the family's textbook form (`dense_nnz`). The latter exists because the
+A model's rows live in `RowBlock`s, one per constraint family (and, for
+`rep`, per vertex, to keep the textbook row order): integer column
+indices, coefficients and row bounds in compressed-row arrays, built with
+numpy over edges x colors. Row names (`edge_{u}_{v}_{i}`, ...) are
+formatted only when asked for, by `emit_lp` and `MilpModel.constraints`.
+Each block carries its family tag and the coefficient count of the
+family's textbook row (`dense_width`). The latter exists because the
 partial-ordering substitution drops eliminated variables from the stored
 terms, while density comparisons between formulations are conventionally
 made on the un-eliminated forms (4 coefficients per pop edge row, 3 per
@@ -26,8 +33,10 @@ pop2 linking row, 2 per pop2 edge row).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Mapping
+from dataclasses import dataclass, field, replace
+from typing import Callable, Mapping
+
+import numpy as np
 
 from .graph import Coloring, Graph
 from .preprocess import PreprocessedInstance, boundary_edges
@@ -35,6 +44,8 @@ from .preprocess import PreprocessedInstance, boundary_edges
 FORMULATIONS = ("ass-s", "ass", "pop", "pop2", "rep")
 
 VALUE_TOLERANCE = 1e-6
+
+INF = float("inf")
 
 
 class ModelError(ValueError):
@@ -49,8 +60,39 @@ class ExtractionError(ModelError):
     """Solver values do not decode to a coloring (corrupt or non-integral)."""
 
 
+@dataclass(frozen=True, eq=False)
+class RowBlock:
+    """Rows of one constraint family, compressed by row over column indices.
+
+    Row r has the terms cols[indptr[r]:indptr[r + 1]] with the matching
+    coefs, and reads lo[r] <= activity <= hi[r]: lo == hi for an equality,
+    one infinite side for an inequality. `dense_width` is the coefficient
+    count of one row in the family's textbook form; None means the stored
+    terms. `names()` formats the row names on demand.
+    """
+
+    family: str
+    indptr: np.ndarray
+    cols: np.ndarray
+    coefs: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    dense_width: int | None
+    names: Callable[[], list[str]]
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    def nnz(self, dense: bool = False) -> int:
+        if dense and self.dense_width is not None:
+            return self.dense_width * len(self)
+        return len(self.cols)
+
+
 @dataclass(frozen=True)
 class Constraint:
+    """One row by name, as `MilpModel.constraints` derives it from a block."""
+
     name: str
     terms: tuple[tuple[str, float], ...]
     sense: str  # "<=", "=" or ">="
@@ -58,36 +100,53 @@ class Constraint:
     block: str
     dense_nnz: int
 
-    def __post_init__(self):
-        if self.sense not in ("<=", "=", ">="):
-            raise ModelError(f"bad sense {self.sense!r} in constraint {self.name}")
+
+def row_sense(lo: float, hi: float) -> tuple[str, float]:
+    """The LP sense and right-hand side of a row with bounds lo <= . <= hi."""
+    if lo == hi:
+        return "=", lo
+    if lo == -INF:
+        return "<=", hi
+    return ">=", lo
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MilpModel:
-    """Binary minimization model with named variables and constant offset."""
+    """Minimization model over named columns, rows in blocks, constant offset.
+
+    Built models are all binary, with `fixings` pinning some columns. A
+    model read back from LP text (`lp.parse_lp`) may also carry general
+    column `bounds`, continuous columns after the first `num_binary`, and a
+    maximization sense.
+    """
 
     kind: str
     variables: tuple[str, ...]
-    constraints: tuple[Constraint, ...]
+    blocks: tuple[RowBlock, ...]
     objective: tuple[tuple[str, float], ...]
-    offset: int
+    offset: float
     fixings: Mapping[str, int]
     meta: Mapping[str, object]
+    bounds: Mapping[str, tuple[float, float]] = field(default_factory=dict)
+    num_binary: int | None = None  # None: every column is binary
+    minimize: bool = True
+    columns: Mapping[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        declared = set(self.variables)
-        if len(declared) != len(self.variables):
+        columns = {name: j for j, name in enumerate(self.variables)}
+        if len(columns) != len(self.variables):
             raise ModelError("duplicate variable names")
-        for con in self.constraints:
-            for name, _ in con.terms:
-                if name not in declared:
-                    raise ModelError(f"constraint {con.name} references unknown {name}")
+        object.__setattr__(self, "columns", columns)
+        for block in self.blocks:
+            if len(block.cols) and not (0 <= block.cols.min() and
+                                        block.cols.max() < len(columns)):
+                raise ModelError(f"{block.family} rows reference a column outside "
+                                 f"0..{len(columns) - 1}")
         for name, _ in self.objective:
-            if name not in declared:
+            if name not in columns:
                 raise ModelError(f"objective references unknown {name}")
         for name, val in self.fixings.items():
-            if name not in declared:
+            if name not in columns:
                 raise ModelError(f"fixing references unknown {name}")
             if val not in (0, 1):
                 raise ModelError(f"fixing {name}={val} is not binary")
@@ -96,18 +155,31 @@ class MilpModel:
     def graph(self) -> Graph:
         return self.meta["graph"]  # type: ignore[return-value]
 
+    @property
+    def num_rows(self) -> int:
+        return sum(len(block) for block in self.blocks)
+
     def nnz(self, block: str | None = None, dense: bool = False) -> int:
-        """Coefficient count, optionally restricted to one constraint block.
+        """Coefficient count, optionally restricted to one constraint family.
 
         With dense=True, counts the textbook form of each row instead of the
         stored (post-substitution) terms.
         """
-        total = 0
-        for con in self.constraints:
-            if block is not None and con.block != block:
-                continue
-            total += con.dense_nnz if dense else len(con.terms)
-        return total
+        return sum(b.nnz(dense) for b in self.blocks if block is None or b.family == block)
+
+    @property
+    def constraints(self) -> tuple[Constraint, ...]:
+        """Every row by name, derived from the blocks on each access."""
+        out = []
+        for block in self.blocks:
+            cols, coefs, ptr = block.cols.tolist(), block.coefs.tolist(), block.indptr.tolist()
+            rows = zip(block.names(), ptr, ptr[1:], block.lo.tolist(), block.hi.tolist())
+            for name, start, stop, lo, hi in rows:
+                terms = tuple(zip([self.variables[j] for j in cols[start:stop]],
+                                  coefs[start:stop]))
+                out.append(Constraint(name, terms, *row_sense(lo, hi), block.family,
+                                      block.dense_width or len(terms)))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -127,13 +199,11 @@ def model_stats(m: MilpModel) -> ModelStats:
     """
     base = m.meta.get("reported_vars")
     num_vars = (base if isinstance(base, int) else len(m.variables)) - len(m.fixings)
-    return ModelStats(num_vars=num_vars,
-                      num_constraints=len(m.constraints),
-                      num_nonzeros=m.nnz())
+    return ModelStats(num_vars=num_vars, num_constraints=m.num_rows, num_nonzeros=m.nnz())
 
 
 # ---------------------------------------------------------------------------
-# variable names
+# variable names and row blocks
 
 def xv(v: int, i: int) -> str:
     return f"x_{v}_{i}"
@@ -149,6 +219,42 @@ def yv(i: int, v: int) -> str:
 
 def rv(u: int, v: int) -> str:
     return f"r_{u}_{v}"
+
+
+def _block(family: str, groups: np.ndarray, template, name: str, *keys: np.ndarray,
+           dense_width: int | None = None) -> RowBlock:
+    """Rows from one template repeated over the rows of `groups` (2-D).
+
+    `template` lists one group's rows as (terms, lo, hi, suffix); a term
+    (slot, offset, coefficient) lands in column groups[g, slot] + offset.
+    Group g names its rows name.format(*keys[g]) + suffix, on demand.
+    """
+    terms = [term for row in template for term in row[0]]
+    slots = np.array([slot for slot, _, _ in terms], dtype=np.intp)
+    offsets = np.array([offset for _, offset, _ in terms], dtype=np.int64)
+    widths = np.array([len(row[0]) for row in template], dtype=np.int64)
+    count = len(groups)
+    indptr = np.zeros(count * len(widths) + 1, dtype=np.int64)
+    np.cumsum(np.tile(widths, count), out=indptr[1:])
+    suffixes = [suffix for _, _, _, suffix in template]
+
+    def names() -> list[str]:
+        prefixes = ([name.format(*key) for key in zip(*(k.tolist() for k in keys))]
+                    if keys else [name] * count)
+        return [prefix + suffix for prefix in prefixes for suffix in suffixes]
+
+    return RowBlock(
+        family=family, indptr=indptr,
+        cols=(np.asarray(groups, dtype=np.int64)[:, slots] + offsets).ravel(),
+        coefs=np.tile(np.array([coef for _, _, coef in terms], dtype=float), count),
+        lo=np.tile(np.array([row[1] for row in template], dtype=float), count),
+        hi=np.tile(np.array([row[2] for row in template], dtype=float), count),
+        dense_width=dense_width, names=names)
+
+
+def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    edges = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    return edges[:, 0], edges[:, 1]
 
 
 def _meta(g: Graph, upper_bound=None, anchor=None, clique=(), reported_vars=None):
@@ -174,28 +280,23 @@ def _color_bound(m: MilpModel) -> int:
 
 
 # ---------------------------------------------------------------------------
-# assignment family
+# assignment family: x_v_i in column v*H + i - 1, then w_i in n*H + i - 1
 
 def build_ass_s(g: Graph, upper_bound: int) -> MilpModel:
     """Plain assignment model: exactly H(|V|+1) binary variables."""
     _check_bound(g, upper_bound)
-    H = upper_bound
-    variables = [xv(v, i) for v in range(g.n) for i in range(1, H + 1)]
-    variables += [wv(i) for i in range(1, H + 1)]
-    cons: list[Constraint] = []
-    for v in range(g.n):
-        cons.append(Constraint(
-            name=f"assign_{v}",
-            terms=tuple((xv(v, i), 1.0) for i in range(1, H + 1)),
-            sense="=", rhs=1.0, block="assign", dense_nnz=H))
-    for (u, v) in g.edges:
-        for i in range(1, H + 1):
-            cons.append(Constraint(
-                name=f"edge_{u}_{v}_{i}",
-                terms=((xv(u, i), 1.0), (xv(v, i), 1.0), (wv(i), -1.0)),
-                sense="<=", rhs=0.0, block="edge", dense_nnz=3))
+    n, H = g.n, upper_bound
+    variables = tuple(xv(v, i) for v in range(n) for i in range(1, H + 1))
+    variables += tuple(wv(i) for i in range(1, H + 1))
+    vertices = np.arange(n)
+    u, v = _edge_arrays(g)
+    assign = _block("assign", np.column_stack([vertices * H]),
+                    [([(0, i, 1.0) for i in range(H)], 1.0, 1.0, "")], "assign_{}", vertices)
+    edge = _block("edge", np.column_stack([u * H, v * H, np.full(len(u), n * H)]),
+                  [([(0, i, 1.0), (1, i, 1.0), (2, i, -1.0)], -INF, 0.0, str(i + 1))
+                   for i in range(H)], "edge_{}_{}_", u, v)
     objective = tuple((wv(i), 1.0) for i in range(1, H + 1))
-    return MilpModel(kind="ass-s", variables=tuple(variables), constraints=tuple(cons),
+    return MilpModel(kind="ass-s", variables=variables, blocks=(assign, edge),
                      objective=objective, offset=0, fixings={},
                      meta=_meta(g, upper_bound=H))
 
@@ -203,21 +304,19 @@ def build_ass_s(g: Graph, upper_bound: int) -> MilpModel:
 def build_ass(g: Graph, upper_bound: int) -> MilpModel:
     """Assignment model with the symmetry-breaking constraints on w."""
     base = build_ass_s(g, upper_bound)
-    H = upper_bound
-    cons = list(base.constraints)
-    for i in range(1, H + 1):
-        terms = [(wv(i), 1.0)] + [(xv(v, i), -1.0) for v in range(g.n)]
-        cons.append(Constraint(name=f"use_{i}", terms=tuple(terms),
-                               sense="<=", rhs=0.0, block="use", dense_nnz=1 + g.n))
-    for i in range(2, H + 1):
-        cons.append(Constraint(name=f"order_w_{i}",
-                               terms=((wv(i), 1.0), (wv(i - 1), -1.0)),
-                               sense="<=", rhs=0.0, block="order", dense_nnz=2))
-    return replace(base, kind="ass", constraints=tuple(cons))
+    n, H = g.n, upper_bound
+    w = n * H
+    use = _block("use", np.zeros((1, 1)),
+                 [([(0, w + i, 1.0)] + [(0, v * H + i, -1.0) for v in range(n)], -INF, 0.0,
+                   str(i + 1)) for i in range(H)], "use_")
+    order = _block("order", np.zeros((1, 1)),
+                   [([(0, w + i, 1.0), (0, w + i - 1, -1.0)], -INF, 0.0, str(i + 1))
+                    for i in range(1, H)], "order_w_")
+    return replace(base, kind="ass", blocks=base.blocks + (use, order))
 
 
 # ---------------------------------------------------------------------------
-# partial-ordering family
+# partial-ordering family: y_i_v in column v*(H-1) + i - 1
 
 def _check_anchor(g: Graph, upper_bound: int, anchor: int):
     if not (0 <= anchor < g.n):
@@ -227,8 +326,8 @@ def _check_anchor(g: Graph, upper_bound: int, anchor: int):
                          "(a 1-colorable instance is settled before any build)")
 
 
-def _pop_edge_rows(u: int, v: int, H: int) -> list[Constraint]:
-    """One row per color i=1..H, after eliminating the below-variables.
+def _pop_edge_block(u: np.ndarray, v: np.ndarray, H: int) -> RowBlock:
+    """One row per edge and color i=1..H, after eliminating the below-variables.
 
     The substitution (below(v,1)=0, below(v,i)=1-y_{i-1,v} for i>=2,
     y_{H,v}=0) turns the 4-coefficient textbook row into:
@@ -236,49 +335,41 @@ def _pop_edge_rows(u: int, v: int, H: int) -> list[Constraint]:
       1<i<H:      y_{i-1}_u + y_{i-1}_v - y_i_u - y_i_v <= 1
       i=H:        y_{H-1}_u + y_{H-1}_v <= 1
     """
-    rows = [Constraint(
-        name=f"edge_{u}_{v}_1",
-        terms=((yv(1, u), 1.0), (yv(1, v), 1.0)),
-        sense=">=", rhs=1.0, block="edge", dense_nnz=4)]
-    for i in range(2, H):
-        rows.append(Constraint(
-            name=f"edge_{u}_{v}_{i}",
-            terms=((yv(i - 1, u), 1.0), (yv(i - 1, v), 1.0),
-                   (yv(i, u), -1.0), (yv(i, v), -1.0)),
-            sense="<=", rhs=1.0, block="edge", dense_nnz=4))
-    rows.append(Constraint(
-        name=f"edge_{u}_{v}_{H}",
-        terms=((yv(H - 1, u), 1.0), (yv(H - 1, v), 1.0)),
-        sense="<=", rhs=1.0, block="edge", dense_nnz=4))
-    return rows
+    K = H - 1
+    template = [([(0, 0, 1.0), (1, 0, 1.0)], 1.0, INF, "1")]
+    template += [([(0, i - 2, 1.0), (1, i - 2, 1.0), (0, i - 1, -1.0), (1, i - 1, -1.0)],
+                  -INF, 1.0, str(i)) for i in range(2, H)]
+    template.append(([(0, H - 2, 1.0), (1, H - 2, 1.0)], -INF, 1.0, str(H)))
+    return _block("edge", np.column_stack([u * K, v * K]), template, "edge_{}_{}_", u, v,
+                  dense_width=4)
 
 
-def _pop_order_rows(g: Graph, H: int) -> list[Constraint]:
-    return [Constraint(name=f"order_{v}_{i}",
-                       terms=((yv(i, v), 1.0), (yv(i + 1, v), -1.0)),
-                       sense=">=", rhs=0.0, block="order", dense_nnz=2)
-            for v in range(g.n) for i in range(1, H - 1)]
+def _pop_order_block(n: int, H: int) -> RowBlock:
+    K = H - 1
+    vertices = np.arange(n)
+    return _block("order", np.column_stack([vertices * K]),
+                  [([(0, i - 1, 1.0), (0, i, -1.0)], 0.0, INF, str(i)) for i in range(1, H - 1)],
+                  "order_{}_", vertices)
 
 
-def _pop_anchor_rows(g: Graph, H: int, anchor: int) -> list[Constraint]:
-    return [Constraint(name=f"anchor_{v}_{i}",
-                       terms=((yv(i, anchor), 1.0), (yv(i, v), -1.0)),
-                       sense=">=", rhs=0.0, block="anchor", dense_nnz=2)
-            for v in range(g.n) if v != anchor for i in range(1, H)]
+def _pop_anchor_block(n: int, H: int, anchor: int) -> RowBlock:
+    K = H - 1
+    others = np.delete(np.arange(n), anchor)
+    return _block("anchor", np.column_stack([np.full(len(others), anchor * K), others * K]),
+                  [([(0, i, 1.0), (1, i, -1.0)], 0.0, INF, str(i + 1)) for i in range(K)],
+                  "anchor_{}_", others)
 
 
 def build_pop(g: Graph, upper_bound: int, anchor: int) -> MilpModel:
     """Reduced partial-ordering model with (H-1)|V| free variables."""
     _check_bound(g, upper_bound)
     _check_anchor(g, upper_bound, anchor)
-    H = upper_bound
-    variables = tuple(yv(i, v) for v in range(g.n) for i in range(1, H))
-    cons = _pop_order_rows(g, H)
-    for (u, v) in g.edges:
-        cons.extend(_pop_edge_rows(u, v, H))
-    cons.extend(_pop_anchor_rows(g, H, anchor))
+    n, H = g.n, upper_bound
+    variables = tuple(yv(i, v) for v in range(n) for i in range(1, H))
+    u, v = _edge_arrays(g)
+    blocks = (_pop_order_block(n, H), _pop_edge_block(u, v, H), _pop_anchor_block(n, H, anchor))
     objective = tuple((yv(i, anchor), 1.0) for i in range(1, H))
-    return MilpModel(kind="pop", variables=variables, constraints=tuple(cons),
+    return MilpModel(kind="pop", variables=variables, blocks=blocks,
                      objective=objective, offset=1, fixings={},
                      meta=_meta(g, upper_bound=H, anchor=anchor))
 
@@ -288,41 +379,50 @@ def build_pop2(g: Graph, upper_bound: int, anchor: int) -> MilpModel:
 
     x_v_i = y_{i-1}_v - y_i_v (with the conventions y_0 = 1, y_H = 0) ties
     each assignment variable to the ordering variables, so the dimension is
-    unchanged while every edge row has only two coefficients.
+    unchanged while every edge row has only two coefficients. The x_v_i
+    follow the y columns, at n*(H-1) + v*H + i - 1.
     """
     _check_bound(g, upper_bound)
     _check_anchor(g, upper_bound, anchor)
-    H = upper_bound
-    variables = [yv(i, v) for v in range(g.n) for i in range(1, H)]
-    variables += [xv(v, i) for v in range(g.n) for i in range(1, H + 1)]
-    cons = _pop_order_rows(g, H)
-    for v in range(g.n):
-        cons.append(Constraint(
-            name=f"link_{v}_1", terms=((xv(v, 1), 1.0), (yv(1, v), 1.0)),
-            sense="=", rhs=1.0, block="link", dense_nnz=3))
-        for i in range(2, H):
-            cons.append(Constraint(
-                name=f"link_{v}_{i}",
-                terms=((xv(v, i), 1.0), (yv(i - 1, v), -1.0), (yv(i, v), 1.0)),
-                sense="=", rhs=0.0, block="link", dense_nnz=3))
-        cons.append(Constraint(
-            name=f"link_{v}_{H}", terms=((xv(v, H), 1.0), (yv(H - 1, v), -1.0)),
-            sense="=", rhs=0.0, block="link", dense_nnz=3))
-    for (u, v) in g.edges:
-        for i in range(1, H + 1):
-            cons.append(Constraint(
-                name=f"edge_{u}_{v}_{i}",
-                terms=((xv(u, i), 1.0), (xv(v, i), 1.0)),
-                sense="<=", rhs=1.0, block="edge", dense_nnz=2))
-    cons.extend(_pop_anchor_rows(g, H, anchor))
+    n, H = g.n, upper_bound
+    K = H - 1
+    variables = tuple(yv(i, v) for v in range(n) for i in range(1, H))
+    variables += tuple(xv(v, i) for v in range(n) for i in range(1, H + 1))
+    vertices = np.arange(n)
+    link_template = [([(0, 0, 1.0), (1, 0, 1.0)], 1.0, 1.0, "1")]
+    link_template += [([(0, i - 1, 1.0), (1, i - 2, -1.0), (1, i - 1, 1.0)], 0.0, 0.0, str(i))
+                      for i in range(2, H)]
+    link_template.append(([(0, H - 1, 1.0), (1, H - 2, -1.0)], 0.0, 0.0, str(H)))
+    link = _block("link", np.column_stack([n * K + vertices * H, vertices * K]), link_template,
+                  "link_{}_", vertices, dense_width=3)
+    u, v = _edge_arrays(g)
+    edge = _block("edge", np.column_stack([n * K + u * H, n * K + v * H]),
+                  [([(0, i, 1.0), (1, i, 1.0)], -INF, 1.0, str(i + 1)) for i in range(H)],
+                  "edge_{}_{}_", u, v)
+    blocks = (_pop_order_block(n, H), link, edge, _pop_anchor_block(n, H, anchor))
     objective = tuple((yv(i, anchor), 1.0) for i in range(1, H))
-    return MilpModel(kind="pop2", variables=tuple(variables), constraints=tuple(cons),
+    return MilpModel(kind="pop2", variables=variables, blocks=blocks,
                      objective=objective, offset=1, fixings={},
                      meta=_meta(g, upper_bound=H, anchor=anchor))
 
 
 # ---------------------------------------------------------------------------
-# representatives
+# representatives: r_u_u in column u, then r_u_v over non-adjacent ordered
+# pairs, u-major
+
+def _rep_columns(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The column of r_u_v at [u, v] (-1 where u and v are adjacent), and
+    the mask of non-adjacent ordered pairs u != v."""
+    n = g.n
+    u, v = _edge_arrays(g)
+    apart = np.ones((n, n), dtype=bool)
+    apart[u, v] = apart[v, u] = False
+    np.fill_diagonal(apart, False)
+    columns = np.full((n, n), -1, dtype=np.int64)
+    np.fill_diagonal(columns, np.arange(n))
+    columns[apart] = n + np.arange(np.count_nonzero(apart))
+    return columns, apart
+
 
 def build_rep(g: Graph) -> MilpModel:
     """Representatives model on directed non-adjacent pairs; no color bound.
@@ -331,39 +431,55 @@ def build_rep(g: Graph) -> MilpModel:
     a vertex cannot represent both endpoints of an edge among its
     non-neighbors), a corrective family r_u_v <= r_u_u is added for every v
     isolated inside G[non-neighbors(u)]: without it, two isolated vertices
-    could represent each other and the optimum would drop to 0.
+    could represent each other and the optimum would drop to 0. The
+    conflict and isolated rows of one representative u sit together, u by
+    u, so those two families come in one block per vertex.
     """
     if g.n < 1:
         raise ModelError("cannot build a model for an empty graph")
-    non_nbrs = {u: sorted(g.non_neighbors(u)) for u in range(g.n)}
-    variables = [rv(u, u) for u in range(g.n)]
-    variables += [rv(u, v) for u in range(g.n) for v in non_nbrs[u]]
-    cons: list[Constraint] = []
-    for v in range(g.n):
-        terms = [(rv(u, v), 1.0) for u in non_nbrs[v]] + [(rv(v, v), 1.0)]
-        cons.append(Constraint(name=f"cover_{v}", terms=tuple(terms),
-                               sense=">=", rhs=1.0, block="cover",
-                               dense_nnz=len(terms)))
-    for u in range(g.n):
-        inside = set(non_nbrs[u])
-        touched = set()
-        for (v, w) in g.edges:
-            if v in inside and w in inside:
-                cons.append(Constraint(
-                    name=f"conflict_{u}_{v}_{w}",
-                    terms=((rv(u, v), 1.0), (rv(u, w), 1.0), (rv(u, u), -1.0)),
-                    sense="<=", rhs=0.0, block="conflict", dense_nnz=3))
-                touched.add(v)
-                touched.add(w)
-        for v in non_nbrs[u]:
-            if v not in touched:
-                cons.append(Constraint(
-                    name=f"isolated_{u}_{v}",
-                    terms=((rv(u, v), 1.0), (rv(u, u), -1.0)),
-                    sense="<=", rhs=0.0, block="isolated", dense_nnz=2))
-    objective = tuple((rv(u, u), 1.0) for u in range(g.n))
-    reported = g.n + len(g.non_edges())
-    return MilpModel(kind="rep", variables=tuple(variables), constraints=tuple(cons),
+    n = g.n
+    columns, apart = _rep_columns(g)
+    pair_u, pair_v = np.nonzero(apart)
+    variables = tuple(rv(u, u) for u in range(n))
+    variables += tuple(rv(u, v) for u, v in zip(pair_u.tolist(), pair_v.tolist()))
+
+    # cover_v: r_u_v over the u apart from v, ascending, then r_v_v
+    cover_v, cover_u = np.nonzero(apart.T)
+    owner = np.concatenate([cover_v, np.arange(n)])
+    order = np.argsort(owner, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
+    blocks = [RowBlock("cover", indptr=indptr,
+                       cols=np.concatenate([columns[cover_u, cover_v], np.arange(n)])[order],
+                       coefs=np.ones(len(owner)), lo=np.ones(n), hi=np.full(n, INF),
+                       dense_width=None, names=lambda: [f"cover_{v}" for v in range(n)])]
+
+    eu, ev = _edge_arrays(g)
+    conflict_u, conflict_e = np.nonzero(apart[:, eu] & apart[:, ev])
+    a, b = eu[conflict_e], ev[conflict_e]
+    touched = np.zeros((n, n), dtype=bool)
+    touched[conflict_u, a] = touched[conflict_u, b] = True
+    isolated_u, isolated_v = np.nonzero(apart & ~touched)
+    conflict_at = np.searchsorted(conflict_u, np.arange(n + 1))
+    isolated_at = np.searchsorted(isolated_u, np.arange(n + 1))
+    for u in range(n):
+        rows = slice(conflict_at[u], conflict_at[u + 1])
+        owners = np.full(rows.stop - rows.start, u)
+        if len(owners):
+            blocks.append(_block(
+                "conflict", np.column_stack([columns[u, a[rows]], columns[u, b[rows]], owners]),
+                [([(0, 0, 1.0), (1, 0, 1.0), (2, 0, -1.0)], -INF, 0.0, "")],
+                "conflict_{}_{}_{}", owners, a[rows], b[rows]))
+        rows = slice(isolated_at[u], isolated_at[u + 1])
+        owners = np.full(rows.stop - rows.start, u)
+        if len(owners):
+            blocks.append(_block(
+                "isolated", np.column_stack([columns[u, isolated_v[rows]], owners]),
+                [([(0, 0, 1.0), (1, 0, -1.0)], -INF, 0.0, "")],
+                "isolated_{}_{}", owners, isolated_v[rows]))
+    objective = tuple((rv(u, u), 1.0) for u in range(n))
+    reported = n + len(pair_u) // 2
+    return MilpModel(kind="rep", variables=variables, blocks=tuple(blocks),
                      objective=objective, offset=0, fixings={},
                      meta=_meta(g, reported_vars=reported))
 
@@ -409,8 +525,8 @@ def apply_clique_fixings(m: MilpModel, inst: PreprocessedInstance) -> MilpModel:
     family the anchor is instead pushed above colors 1..|Q|-1, which its
     maximality constraints already imply. Every boundary edge (u,v) with u
     precolored k forbids color k on v: a variable fixing where the model has
-    that variable, the substituted equality y_{k-1}_v = y_k_v in the pure
-    partial-ordering model.
+    that variable, the substituted equality y_{k-1}_v = y_k_v (a `boundary`
+    block) in the pure partial-ordering model.
     """
     g = m.graph
     clique = tuple(inst.clique)
@@ -420,7 +536,7 @@ def apply_clique_fixings(m: MilpModel, inst: PreprocessedInstance) -> MilpModel:
     others = tuple(v for v in sorted(clique) if v != anchor)
     precolor = {u: k for k, u in enumerate(others, start=1)}
     fixings = dict(m.fixings)
-    extra: list[Constraint] = []
+    blocks = m.blocks
 
     if m.kind in ("ass-s", "ass"):
         H = _color_bound(m)
@@ -441,6 +557,7 @@ def apply_clique_fixings(m: MilpModel, inst: PreprocessedInstance) -> MilpModel:
                 _add_fixing(fixings, yv(i, u), 1 if i < k else 0)
         for i in range(1, min(len(clique), H)):
             _add_fixing(fixings, yv(i, anchor), 1)
+        boundary = []  # (precolored u, its color k, neighbour v)
         for (a, b) in boundary_edges(g, clique):
             if a in precolor or b in precolor:
                 u, v = (a, b) if a in precolor else (b, a)
@@ -452,17 +569,19 @@ def apply_clique_fixings(m: MilpModel, inst: PreprocessedInstance) -> MilpModel:
                 elif k == H:
                     _add_fixing(fixings, yv(H - 1, v), 0)
                 else:
-                    extra.append(Constraint(
-                        name=f"boundary_{u}_{v}",
-                        terms=((yv(k - 1, v), 1.0), (yv(k, v), -1.0)),
-                        sense="=", rhs=0.0, block="boundary", dense_nnz=2))
+                    boundary.append((u, k, v))
+        if boundary:
+            us, ks, vs = np.array(boundary, dtype=np.int64).T
+            blocks += (_block("boundary", np.column_stack([vs * (H - 1) + ks - 2]),
+                              [([(0, 0, 1.0), (0, 1, -1.0)], 0.0, 0.0, "")],
+                              "boundary_{}_{}", us, vs),)
     elif m.kind == "rep":
         for u in clique:
             _add_fixing(fixings, rv(u, u), 1)
     else:
         raise ModelError(f"unknown formulation {m.kind!r}")
 
-    return replace(m, constraints=m.constraints + tuple(extra), fixings=fixings)
+    return replace(m, blocks=blocks, fixings=fixings)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +597,9 @@ def binary_value(name: str, raw: float) -> int:
     raise ExtractionError(f"variable {name} has non-binary value {raw}")
 
 
-def _resolved(m: MilpModel, values: Mapping[str, float]) -> dict[str, int]:
-    out: dict[str, int] = {}
+def _resolved(m: MilpModel, values: Mapping[str, float]) -> list[int]:
+    """Column values, rounded to 0/1: solver value, else fixing, else 0."""
+    out: list[int] = []
     for name in m.variables:
         if name in values:
             raw = float(values[name])
@@ -487,7 +607,7 @@ def _resolved(m: MilpModel, values: Mapping[str, float]) -> dict[str, int]:
             raw = float(m.fixings[name])
         else:
             raw = 0.0
-        out[name] = binary_value(name, raw)
+        out.append(binary_value(name, raw))
     return out
 
 
@@ -505,22 +625,24 @@ def extract_coloring(m: MilpModel, values: Mapping[str, float]) -> Coloring:
     if m.kind in ("ass-s", "ass"):
         H = _color_bound(m)
         for v in range(g.n):
-            chosen = [i for i in range(1, H + 1) if val[xv(v, i)] == 1]
+            chosen = [i for i, bit in enumerate(val[v * H:(v + 1) * H], start=1) if bit == 1]
             if len(chosen) != 1:
                 raise ExtractionError(f"vertex {v} has {len(chosen)} assigned colors")
             colors.append(chosen[0])
     elif m.kind in ("pop", "pop2"):
         H = _color_bound(m)
+        K = H - 1
         for v in range(g.n):
-            chain = [1] + [val[yv(i, v)] for i in range(1, H)] + [0]
+            chain = [1] + val[v * K:(v + 1) * K] + [0]
             steps = [i for i in range(1, H + 1) if chain[i - 1] == 1 and chain[i] == 0]
             if len(steps) != 1:
                 raise ExtractionError(f"vertex {v} has an ambiguous ordering chain {chain}")
             colors.append(steps[0])
     elif m.kind == "rep":
+        columns = _rep_columns(g)[0].T.tolist()  # columns[v][u]: r_u_v
         rep_of = []
         for v in range(g.n):
-            cands = [u for u in sorted(set(g.non_neighbors(v)) | {v}) if val[rv(u, v)] == 1]
+            cands = [u for u, j in enumerate(columns[v]) if j >= 0 and val[j] == 1]
             if not cands:
                 raise ExtractionError(f"vertex {v} has no representative")
             rep_of.append(cands[0])
@@ -540,42 +662,35 @@ def encode_coloring(m: MilpModel, c: Coloring) -> dict[str, int]:
     inside the model's clique when there is one, else by its smallest id.
     """
     g = m.graph
-    values: dict[str, int] = {}
+    colors = c.colors
     if m.kind in ("ass-s", "ass"):
         H = _color_bound(m)
-        used = set(c.colors)
-        for v in range(g.n):
-            for i in range(1, H + 1):
-                values[xv(v, i)] = 1 if c.colors[v] == i else 0
-        for i in range(1, H + 1):
-            values[wv(i)] = 1 if i in used else 0
+        bits = [1 if colors[v] == i else 0 for v in range(g.n) for i in range(1, H + 1)]
+        bits += [1 if i in set(colors) else 0 for i in range(1, H + 1)]
     elif m.kind in ("pop", "pop2"):
         H = _color_bound(m)
-        for v in range(g.n):
-            for i in range(1, H):
-                values[yv(i, v)] = 1 if c.colors[v] > i else 0
+        bits = [1 if colors[v] > i else 0 for v in range(g.n) for i in range(1, H)]
         if m.kind == "pop2":
-            for v in range(g.n):
-                for i in range(1, H + 1):
-                    values[xv(v, i)] = 1 if c.colors[v] == i else 0
+            bits += [1 if colors[v] == i else 0 for v in range(g.n) for i in range(1, H + 1)]
     elif m.kind == "rep":
+        columns = _rep_columns(g)[0].tolist()
         clique = set(m.meta.get("clique") or ())
         classes: dict[int, list[int]] = {}
         for v in range(g.n):
-            classes.setdefault(c.colors[v], []).append(v)
-        for name in m.variables:
-            values[name] = 0
+            classes.setdefault(colors[v], []).append(v)
+        bits = [0] * len(m.variables)
         for members in classes.values():
             special = [v for v in members if v in clique]
             rep = special[0] if special else min(members)
-            values[rv(rep, rep)] = 1
             for v in members:
-                if v != rep:
-                    values[rv(rep, v)] = 1
+                if columns[rep][v] < 0:
+                    raise ModelError(f"coloring puts adjacent {rep} and {v} in one class")
+                bits[columns[rep][v]] = 1
         for u in clique:
-            values[rv(u, u)] = 1
+            bits[u] = 1
     else:
         raise ModelError(f"unknown formulation {m.kind!r}")
+    values = dict(zip(m.variables, bits))
     for name, fixed in m.fixings.items():
         if values.get(name, 0) != fixed:
             raise ModelError(f"coloring contradicts fixing {name}={fixed}")
@@ -595,15 +710,16 @@ def check_feasible(m: MilpModel, values: Mapping[str, float], tol: float = 1e-9)
             return float(values[name])
         return float(m.fixings.get(name, 0))
 
+    x = np.array([val(name) for name in m.variables], dtype=float)
     bad = []
-    for con in m.constraints:
-        lhs = sum(coef * val(name) for name, coef in con.terms)
-        if con.sense == "<=" and lhs > con.rhs + tol:
-            bad.append(con.name)
-        elif con.sense == ">=" and lhs < con.rhs - tol:
-            bad.append(con.name)
-        elif con.sense == "=" and abs(lhs - con.rhs) > tol:
-            bad.append(con.name)
+    for block in m.blocks:
+        rows = np.repeat(np.arange(len(block)), np.diff(block.indptr))
+        lhs = np.bincount(rows, weights=block.coefs * x[block.cols], minlength=len(block))
+        violated = np.where(block.lo == block.hi, np.abs(lhs - block.lo) > tol,
+                            (lhs > block.hi + tol) | (lhs < block.lo - tol))
+        if violated.any():
+            names = block.names()
+            bad.extend(names[r] for r in np.flatnonzero(violated).tolist())
     for name, fixed in m.fixings.items():
         if abs(val(name) - fixed) > tol:
             bad.append(f"fixing:{name}")

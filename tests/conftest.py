@@ -1,5 +1,16 @@
+"""Shared Hypothesis profile, the fixtures directory and the NullAdapter test double."""
+from dataclasses import dataclass
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings
+
+from chromatic import bench
+from chromatic.backend import RawSolve
+from chromatic.graph import Coloring
+from chromatic.models import (MilpModel, ModelError, check_feasible, encode_coloring,
+                              objective_value)
+from chromatic.oracle import chromatic_number_exact
 
 settings.register_profile(
     "suite",
@@ -17,8 +28,69 @@ def pytest_addoption(parser):
 
 @pytest.fixture(scope="session")
 def fixtures_dir(request):
-    import pathlib
     override = request.config.getoption("--fixtures-dir")
     if override:
-        return pathlib.Path(override)
-    return pathlib.Path(__file__).parent / "fixtures"
+        return Path(override)
+    return Path(__file__).parent / "fixtures"
+
+
+@dataclass(frozen=True)
+class NullAdapter:
+    """Oracle-backed solver double for tiny models built by this package.
+
+    It computes the chromatic number exactly, permutes the witness coloring
+    onto any clique precolors (anchor to the top color for the
+    partial-ordering family), encodes it into the formulation's variables,
+    checks the encoding against every row, and reports it as optimal.
+    """
+
+    cap: int = 16
+    name: str = "null"
+
+    def solve_model(self, model: MilpModel, lp_path: Path | None, time_limit: float,
+                    seed: int, workdir: Path | None) -> RawSolve:
+        g = model.graph
+        if g.n > self.cap:
+            raise ValueError(f"null adapter handles at most {self.cap} vertices, got {g.n}")
+        oracle = chromatic_number_exact(g, cap=self.cap)
+        chi = oracle.chi
+        upper = model.meta.get("upper_bound")
+        if isinstance(upper, int) and chi > upper:
+            return RawSolve("infeasible", None, None, None,
+                            log=f"chromatic number {chi} exceeds color bound {upper}")
+        coloring = self._align(model, oracle.witness, chi)
+        values = encode_coloring(model, coloring)
+        violated = check_feasible(model, values)
+        if violated:
+            raise ModelError(f"oracle encoding violated {violated[:5]}")
+        raw_obj = objective_value(model, values, with_offset=False)
+        return RawSolve("optimal", raw_obj, raw_obj, dict(values), log="oracle")
+
+    def _align(self, model: MilpModel, witness: Coloring, chi: int) -> Coloring:
+        clique = tuple(model.meta.get("clique") or ())
+        anchor = model.meta.get("anchor")
+        targets: dict[int, int] = {}
+        if model.fixings and model.kind in ("ass-s", "ass", "pop", "pop2"):
+            others = tuple(v for v in sorted(clique) if v != anchor)
+            for k, u in enumerate(others, start=1):
+                targets[witness.colors[u]] = k
+            if isinstance(anchor, int):
+                targets[witness.colors[anchor]] = len(clique) if model.kind in ("ass-s", "ass") else chi
+        elif model.kind in ("pop", "pop2") and isinstance(anchor, int):
+            targets[witness.colors[anchor]] = chi
+        if not targets:
+            return witness
+        free_targets = [c for c in range(1, chi + 1) if c not in targets.values()]
+        mapping = dict(targets)
+        for c in range(1, chi + 1):
+            if c not in mapping:
+                mapping[c] = free_targets.pop(0)
+        return Coloring(tuple(mapping[c] for c in witness.colors))
+
+
+@pytest.fixture
+def null_adapter(monkeypatch):
+    """Let `bench` resolve the adapter name "null" to the NullAdapter double."""
+    real = bench.load_adapter
+    monkeypatch.setattr(bench, "load_adapter",
+                        lambda spec: NullAdapter() if spec == "null" else real(spec))

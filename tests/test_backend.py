@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import chromatic
 from chromatic import backend, families, lpsolve
 from chromatic.backend import (DIALECTS, BuiltinAdapter, CommandAdapter,
-                               NullAdapter, RawSolve, SolutionParseError,
+                               RawSolve, SolutionParseError,
                                SolverNotFoundError, SolveStatus,
                                builtin_subprocess_adapter, integral_floor_bound,
                                load_adapter, parse_solution, solve)
@@ -21,6 +21,7 @@ from chromatic.models import (FORMULATIONS, apply_clique_fixings,
                               build_formulation, build_pop, extract_coloring)
 from chromatic.oracle import chromatic_number_exact
 from chromatic.preprocess import preprocess_pipeline
+from conftest import NullAdapter
 
 
 class TestParseSolutionDialects:
@@ -429,7 +430,9 @@ class TestAdapterConfig:
     def test_load_builtin_names(self):
         assert isinstance(load_adapter("builtin"), BuiltinAdapter)
         assert load_adapter("builtin-sub").name == "builtin-sub"
-        assert isinstance(load_adapter("null"), NullAdapter)
+        # the oracle-backed NullAdapter is a test double, not a shipped adapter
+        with pytest.raises(SolverNotFoundError, match="unknown adapter"):
+            load_adapter("null")
 
     def test_shipped_adapter_configs_load(self):
         import pathlib

@@ -3,12 +3,13 @@ import sys
 
 import pytest
 
-from chromatic import cli, families
+from chromatic import bench, cli, families
 from chromatic.bench import (BenchmarkRecord, RunConfig, generate_set,
                              read_manifest, records_csv, run_bench,
                              solve_instance, strip_time_columns, summarize,
                              summary_csv)
 from chromatic.graph import Coloring, ColoringError, parse_dimacs, write_dimacs
+from chromatic.models import ModelError
 from chromatic.oracle import chromatic_number_exact
 
 
@@ -65,6 +66,7 @@ class TestSolveInstance:
         record = outcome.records[0]
         assert (record.lb, record.ub) == (5, 5)
 
+    @pytest.mark.usefixtures("null_adapter")
     def test_error_row_keeps_running(self):
         # an odd cycle neither reduces nor settles in preprocessing, and 17
         # vertices exceed the null adapter's cap: each model run becomes an
@@ -202,6 +204,24 @@ class TestCliCommands:
         coloring = cli.parse_coloring(
             (tmp_path / "out" / "k2.pop2.coloring").read_text(), 2)
         assert coloring.num_colors == 2
+
+    def test_solve_prints_the_error_of_a_failed_model(self, tmp_path, capsys, monkeypatch):
+        def refuse(kind, inst, upper_bound=None):
+            raise ModelError(f"no {kind} today")
+
+        monkeypatch.setattr(bench, "build_formulation", refuse)
+        instance = tmp_path / "c5.col"
+        instance.write_text(write_dimacs(families.cycle(5)))
+        assert run_cli("solve", str(instance), "--model", "pop", "--model", "rep",
+                       "--clique-budget", "0.5", "--out", str(tmp_path / "out")) == 1
+        lines = capsys.readouterr().out.splitlines()
+        at = next(i for i, line in enumerate(lines) if line.lstrip().startswith("pop "))
+        assert "status=error:ModelError" in lines[at]
+        assert lines[at + 1].strip() == "ModelError: no pop today"
+        assert "        ModelError: no rep today" in lines
+        # the CSV status column keeps the exception type only
+        csv_text = (tmp_path / "out" / "c5.csv").read_text()
+        assert ",error:ModelError," in csv_text and "today" not in csv_text
 
     def test_solve_bad_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.col"

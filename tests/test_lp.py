@@ -88,10 +88,11 @@ class TestParseBack:
         parsed = parse_lp(emit_lp(model))
         assert parsed.minimize
         assert parsed.offset == model.offset
-        assert parsed.objective == list(model.objective)
-        assert [(c[0], c[1], c[2], c[3]) for c in parsed.constraints] == \
-            [(c.name, list(c.terms), c.sense, c.rhs) for c in model.constraints]
-        assert parsed.binaries == list(model.variables)
+        assert parsed.objective == model.objective
+        assert [(c.name, c.terms, c.sense, c.rhs) for c in parsed.constraints] == \
+            [(c.name, c.terms, c.sense, c.rhs) for c in model.constraints]
+        assert parsed.variables == model.variables
+        assert parsed.num_binary == len(model.variables)
         assert parsed.bounds == {name: (float(v), float(v))
                                  for name, v in model.fixings.items()}
 
@@ -101,9 +102,9 @@ class TestParseBack:
         text = emit_lp(model)
         assert all(len(line) <= 200 for line in text.splitlines())
         parsed = parse_lp(text)
-        use_rows = [c for c in parsed.constraints if c[0] == "use_1"]
+        use_rows = [c for c in parsed.constraints if c.name == "use_1"]
         assert len(use_rows) == 1
-        assert len(use_rows[0][1]) == 1 + g.n
+        assert len(use_rows[0].terms) == 1 + g.n
 
 
 class TestParserFlexibility:
@@ -113,22 +114,22 @@ class TestParserFlexibility:
                 "BOUNDS\n x = 1\n"
                 "BINARY\n x y\nEND\n")
         parsed = parse_lp(text)
-        assert parsed.objective == [("x", 1.0), ("y", 2.0)]
-        assert parsed.constraints[0][2] == "<="
+        assert parsed.objective == (("x", 1.0), ("y", 2.0))
+        assert parsed.constraints[0].sense == "<="
         assert parsed.bounds == {"x": (1.0, 1.0)}
 
     def test_unnamed_constraint(self):
         parsed = parse_lp("Minimize\n x\nSubject To\n x + y >= 1\nEnd\n")
-        assert parsed.constraints[0][0] == "c0"
+        assert parsed.constraints[0].name == "c0"
 
     def test_inline_comment_stripped(self):
         parsed = parse_lp("Minimize\n obj: x \\ cost\nSubject To\n c: x >= 0\nEnd\n")
-        assert parsed.objective == [("x", 1.0)]
+        assert parsed.objective == (("x", 1.0),)
 
     def test_alternative_senses(self):
         parsed = parse_lp("Minimize\n x\nSubject To\n a: x =< 1\n b: x => 0\nEnd\n")
-        assert parsed.constraints[0][2] == "<="
-        assert parsed.constraints[1][2] == ">="
+        assert parsed.constraints[0].sense == "<="
+        assert parsed.constraints[1].sense == ">="
 
 
 class TestParserErrors:
