@@ -16,7 +16,6 @@ text: it hands the built model to the solver as it is.
 from __future__ import annotations
 
 import re
-from typing import Iterator
 
 import numpy as np
 

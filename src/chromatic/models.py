@@ -432,8 +432,8 @@ def build_rep(g: Graph) -> MilpModel:
     non-neighbors), a corrective family r_u_v <= r_u_u is added for every v
     isolated inside G[non-neighbors(u)]: without it, two isolated vertices
     could represent each other and the optimum would drop to 0. The
-    conflict and isolated rows of one representative u sit together, u by
-    u, so those two families come in one block per vertex.
+    conflict rows and then the isolated rows of one representative u sit
+    together, u by u, so those two families come in blocks per vertex.
     """
     if g.n < 1:
         raise ModelError("cannot build a model for an empty graph")

@@ -28,10 +28,11 @@ def pytest_addoption(parser):
 
 @pytest.fixture(scope="session")
 def fixtures_dir(request):
+    import pathlib
     override = request.config.getoption("--fixtures-dir")
     if override:
-        return Path(override)
-    return Path(__file__).parent / "fixtures"
+        return pathlib.Path(override)
+    return pathlib.Path(__file__).parent / "fixtures"
 
 
 @dataclass(frozen=True)
