@@ -12,8 +12,9 @@ clique mode, bounds, time, status, seed. Times are wall-clock seconds of
 the `backend.solve` call: stacking the model's row blocks into the sparse
 matrix and HiGHS for `builtin`, plus the LP file, the solver process and
 its solution file for subprocess adapters. Preprocessing time is its own
-column. A model run that raises becomes a row with status
-`error:<ExceptionType>`; the outcome keeps the full message. Summary rows
+column. A model run that raises, or an instance file that cannot be read,
+becomes a row with status `error:<ExceptionType>`; the record keeps
+`Type: message` in `error`, which is not a CSV column. Summary rows
 (per density and formulation: mean time over solved instances, number of
 unsolved) go to a separate `.summary.csv`.
 """
@@ -53,6 +54,7 @@ class BenchmarkRecord:
     seed: int
     prep_time: float
     hardness_class: str = ""
+    error: str = ""  # "Type: message" of a failed run; not a CSV column
 
     def row(self) -> dict[str, str]:
         return {
@@ -92,7 +94,15 @@ class InstanceOutcome:
     preprocessed: PreprocessedInstance
     prep_time: float
     colorings: dict[str, Coloring] = field(default_factory=dict)
-    errors: dict[str, str] = field(default_factory=dict)  # model -> "Type: message"
+
+
+def _error_record(name: str, n: int, m: int, model_name: str, cfg: RunConfig,
+                  exc: Exception, prep_time: float, hardness_class: str) -> BenchmarkRecord:
+    return BenchmarkRecord(
+        instance=name, n=n, m=m, model=model_name, clique_mode=cfg.clique_mode,
+        lb=None, ub=None, time=0.0, status=f"{SolveStatus.ERROR.value}:{type(exc).__name__}",
+        seed=cfg.seed, prep_time=prep_time, hardness_class=hardness_class,
+        error=f"{type(exc).__name__}: {exc}")
 
 
 def solve_instance(g: Graph, name: str, cfg: RunConfig,
@@ -145,13 +155,8 @@ def solve_instance(g: Graph, name: str, cfg: RunConfig,
                 status=result.status.value, seed=cfg.seed,
                 prep_time=prep_time, hardness_class=hardness_class))
         except Exception as exc:  # noqa: BLE001 - a failed model run becomes an error row
-            outcome.errors[model_name] = f"{type(exc).__name__}: {exc}"
-            outcome.records.append(BenchmarkRecord(
-                instance=name, n=g.n, m=g.m, model=model_name,
-                clique_mode=cfg.clique_mode, lb=None, ub=None, time=0.0,
-                status=f"{SolveStatus.ERROR.value}:{type(exc).__name__}",
-                seed=cfg.seed, prep_time=prep_time,
-                hardness_class=hardness_class))
+            outcome.records.append(_error_record(name, g.n, g.m, model_name, cfg, exc,
+                                                 prep_time, hardness_class))
     return outcome
 
 
@@ -235,12 +240,8 @@ def _bench_one(args) -> list[BenchmarkRecord]:
     try:
         g = parse_dimacs(Path(path_text).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
-        return [BenchmarkRecord(
-            instance=name, n=0, m=0, model=model_name, clique_mode=cfg.clique_mode,
-            lb=None, ub=None, time=0.0,
-            status=f"{SolveStatus.ERROR.value}:{type(exc).__name__}",
-            seed=cfg.seed, prep_time=0.0, hardness_class=hardness_class)
-            for model_name in cfg.models]
+        return [_error_record(name, 0, 0, model_name, cfg, exc, 0.0, hardness_class)
+                for model_name in cfg.models]
     return solve_instance(g, name, cfg, hardness_class=hardness_class).records
 
 

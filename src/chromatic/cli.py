@@ -103,8 +103,8 @@ def cmd_solve(args) -> int:
         ub = "inf" if record.ub is None else record.ub
         print(f"  {record.model:5s} lb={lb} ub={ub} "
               f"time={record.time:.2f}s status={record.status}")
-        if record.model in outcome.errors:
-            print(f"        {outcome.errors[record.model]}")
+        if record.error:
+            print(f"        {record.error}")
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
         csv_path = args.out / f"{name}.csv"
@@ -137,6 +137,9 @@ def cmd_bench(args) -> int:
         print(f"chromatic bench: {exc}", file=sys.stderr)
         return 2
     records = run_bench(manifest, manifest_path.parent, cfg)
+    for record in records:
+        if record.error:
+            print(f"{record.instance} {record.model}: {record.error}", file=sys.stderr)
     summary = summarize(manifest, records)
     records_text = records_csv(records)
     summary_text = summary_csv(summary)

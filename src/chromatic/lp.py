@@ -1,8 +1,9 @@
 """LP-format text emission and parsing.
 
 The emitter writes the CPLEX-style LP dialect every mainstream MILP solver
-consumes: a Minimize section, named rows under Subject To, fixed variables
-as explicit Bounds lines, and a Binaries section. Output is byte-identical
+consumes: a Minimize section (Maximize for a parsed maximization), named
+rows under Subject To, fixed variables and any general bounds as Bounds
+lines, and a Binaries section. Output is byte-identical
 for identical models. The objective's constant offset cannot be carried
 portably inside the format, so it travels as a structured comment and is
 re-applied by whoever normalizes results.
@@ -19,7 +20,7 @@ import re
 
 import numpy as np
 
-from .models import MilpModel, RowBlock, row_sense
+from .models import INF, MilpModel, RowBlock, row_sense
 
 MAX_LINE = 200
 
@@ -89,22 +90,40 @@ def _row_lines(m: MilpModel) -> list[str]:
     return lines
 
 
+def _bound_line(name: str, lo: float, hi: float) -> str:
+    """A bound in one of the three forms `parse_lp` reads."""
+    if lo == hi:
+        return f" {name} = {_coef_str(lo)}"
+    if lo == -INF and hi == INF:
+        return f" {name} free"
+    return f" {_coef_str(lo)} <= {name} <= {_coef_str(hi)}"
+
+
 def emit_lp(m: MilpModel) -> str:
-    """Serialize a model to LP text; identical models give identical bytes."""
+    """Serialize a model to LP text; identical models give identical bytes.
+
+    A built model is an all-binary minimization whose only bounds are its
+    fixings. A parsed one may also be a maximization, bound columns
+    generally and keep continuous columns after its first `num_binary`;
+    all of that is written back.
+    """
     lines = [f"\\ model: {m.kind}", f"\\ offset: {_coef_str(m.offset)}"]
-    lines.append("Minimize")
+    lines.append("Minimize" if m.minimize else "Maximize")
     objective = " ".join(_term(name, coef) for name, coef in m.objective)
     lines.extend(_wrap(" obj: " + _expression(objective, m.objective[0][1] if objective else 0)))
     lines.append("Subject To")
     lines.extend(_row_lines(m))
-    if m.fixings:
+    bounds = [f" {name} = {m.fixings[name]}" if name in m.fixings
+              else _bound_line(name, *m.bounds[name])
+              for name in m.variables if name in m.fixings or name in m.bounds]
+    if bounds:
         lines.append("Bounds")
-        for name in m.variables:
-            if name in m.fixings:
-                lines.append(f" {name} = {m.fixings[name]}")
-    lines.append("Binaries")
-    for chunk in range(0, len(m.variables), 12):
-        lines.append(" " + " ".join(m.variables[chunk:chunk + 12]))
+        lines.extend(bounds)
+    binaries = m.variables if m.num_binary is None else m.variables[:m.num_binary]
+    if binaries:
+        lines.append("Binaries")
+        for chunk in range(0, len(binaries), 12):
+            lines.append(" " + " ".join(binaries[chunk:chunk + 12]))
     lines.append("End")
     return "\n".join(lines) + "\n"
 

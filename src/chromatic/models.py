@@ -11,8 +11,10 @@ return immutable, solver-agnostic models:
          the largest used color and the objective is 1 + sum_i y_i_q
   pop2   pop with the edge constraints re-expressed through linked
          assignment variables, halving the edge-block density
-  rep    representatives variables r_u_v ("u represents v") on non-adjacent
-         ordered pairs plus r_u_u
+  rep    asymmetric representatives: r_u_u, plus r_u_v ("u represents v")
+         for every non-adjacent pair with u before v in a fixed vertex
+         order, the clique members first (ascending), then the rest by id;
+         each color class is represented by its first member in that order
 
 Variable names (x_v_i, w_i, y_i_v, r_u_v; vertices 0-based, colors
 1-based) are fixed so emitted LP files diff deterministically. Column j of
@@ -190,16 +192,9 @@ class ModelStats:
 
 
 def model_stats(m: MilpModel) -> ModelStats:
-    """Exact counts; fixed variables do not count as free dimensions.
-
-    For the representatives model the variable count is reported over
-    unordered non-adjacent pairs (|non-edges| + |V|), the convention used
-    when comparing model sizes, even though the container keeps one directed
-    variable per orientation.
-    """
-    base = m.meta.get("reported_vars")
-    num_vars = (base if isinstance(base, int) else len(m.variables)) - len(m.fixings)
-    return ModelStats(num_vars=num_vars, num_constraints=m.num_rows, num_nonzeros=m.nnz())
+    """Exact counts; fixed variables do not count as free dimensions."""
+    return ModelStats(num_vars=len(m.variables) - len(m.fixings),
+                      num_constraints=m.num_rows, num_nonzeros=m.nnz())
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +252,9 @@ def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return edges[:, 0], edges[:, 1]
 
 
-def _meta(g: Graph, upper_bound=None, anchor=None, clique=(), reported_vars=None):
-    meta = {"graph": g, "n": g.n, "upper_bound": upper_bound,
+def _meta(g: Graph, upper_bound=None, anchor=None, clique=()):
+    return {"graph": g, "n": g.n, "upper_bound": upper_bound,
             "anchor": anchor, "clique": tuple(clique)}
-    if reported_vars is not None:
-        meta["reported_vars"] = reported_vars
-    return meta
 
 
 def _check_bound(g: Graph, upper_bound: int):
@@ -407,59 +399,86 @@ def build_pop2(g: Graph, upper_bound: int, anchor: int) -> MilpModel:
 
 
 # ---------------------------------------------------------------------------
-# representatives: r_u_u in column u, then r_u_v over non-adjacent ordered
-# pairs, u-major
+# representatives: r_u_u in column u, then r_u_v over the non-adjacent pairs
+# with u before v in the model's vertex order, u-major by id
 
-def _rep_columns(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """The column of r_u_v at [u, v] (-1 where u and v are adjacent), and
-    the mask of non-adjacent ordered pairs u != v."""
+def _rep_order(n: int, first=()) -> tuple[int, ...]:
+    """The vertices of `first` in ascending id, then every other vertex by id."""
+    head = sorted(first)
+    if len(set(head)) != len(head) or not all(0 <= v < n for v in head):
+        raise ModelError(f"vertices put first must be distinct vertices of the graph, got {head}")
+    return tuple(head) + tuple(sorted(set(range(n)) - set(head)))
+
+
+def _rep_order_of(m: MilpModel) -> tuple[int, ...]:
+    order = m.meta.get("order")
+    if not isinstance(order, tuple) or sorted(order) != list(range(m.graph.n)):
+        raise ModelError(f"{m.kind} model records no vertex order")
+    return order
+
+
+def _rep_columns(g: Graph, order: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The column of r_u_v at [u, v] (-1 where there is none), and the mask
+    `later` of the pairs with v a non-neighbour of u that comes after u in
+    `order`."""
     n = g.n
+    position = np.empty(n, dtype=np.int64)
+    position[list(order)] = np.arange(n)
     u, v = _edge_arrays(g)
-    apart = np.ones((n, n), dtype=bool)
-    apart[u, v] = apart[v, u] = False
-    np.fill_diagonal(apart, False)
+    later = position[:, None] < position[None, :]
+    later[u, v] = later[v, u] = False
     columns = np.full((n, n), -1, dtype=np.int64)
     np.fill_diagonal(columns, np.arange(n))
-    columns[apart] = n + np.arange(np.count_nonzero(apart))
-    return columns, apart
+    columns[later] = n + np.arange(np.count_nonzero(later))
+    return columns, later
 
 
-def build_rep(g: Graph) -> MilpModel:
-    """Representatives model on directed non-adjacent pairs; no color bound.
+def build_rep(g: Graph, first=()) -> MilpModel:
+    """Asymmetric representatives model; no color bound.
 
-    Besides the two textbook families (every vertex needs a representative;
-    a vertex cannot represent both endpoints of an edge among its
-    non-neighbors), a corrective family r_u_v <= r_u_u is added for every v
-    isolated inside G[non-neighbors(u)]: without it, two isolated vertices
-    could represent each other and the optimum would drop to 0. The
-    conflict rows and then the isolated rows of one representative u sit
-    together, u by u, so those two families come in blocks per vertex.
+    The vertex order puts `first` (the preprocessing clique) in ascending
+    id, then every other vertex by id, and is recorded in `meta["order"]`.
+    r_u_v exists only for v a non-neighbour of u that comes later, so a
+    color class can be represented only by its first member: one
+    representative per class, not one per member. cover_v asks for a
+    representative among v's earlier non-neighbours or v itself. A vertex
+    cannot represent both endpoints of an edge among its later
+    non-neighbours (conflict rows), and a corrective family r_u_v <= r_u_u
+    covers each later non-neighbour v that no conflict row of u touches:
+    without it v could join u's class while r_u_u, the class's cost, is 0.
+    The clique fixings r_q_q = 1 are valid only because the clique comes
+    first: each class then holds at most one clique member, and it is the
+    class's first member. The conflict rows and then the isolated rows of
+    one representative u sit together, u by u, so those two families come
+    in blocks per vertex.
     """
     if g.n < 1:
         raise ModelError("cannot build a model for an empty graph")
     n = g.n
-    columns, apart = _rep_columns(g)
-    pair_u, pair_v = np.nonzero(apart)
+    order = _rep_order(n, first)
+    columns, later = _rep_columns(g, order)
+    pair_u, pair_v = np.nonzero(later)
     variables = tuple(rv(u, u) for u in range(n))
     variables += tuple(rv(u, v) for u, v in zip(pair_u.tolist(), pair_v.tolist()))
 
-    # cover_v: r_u_v over the u apart from v, ascending, then r_v_v
-    cover_v, cover_u = np.nonzero(apart.T)
+    # cover_v: r_u_v over v's earlier non-neighbours u, ascending, then r_v_v
+    cover_v, cover_u = np.nonzero(later.T)
     owner = np.concatenate([cover_v, np.arange(n)])
-    order = np.argsort(owner, kind="stable")
+    rows_by_owner = np.argsort(owner, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(owner, minlength=n), out=indptr[1:])
     blocks = [RowBlock("cover", indptr=indptr,
-                       cols=np.concatenate([columns[cover_u, cover_v], np.arange(n)])[order],
+                       cols=np.concatenate([columns[cover_u, cover_v],
+                                            np.arange(n)])[rows_by_owner],
                        coefs=np.ones(len(owner)), lo=np.ones(n), hi=np.full(n, INF),
                        dense_width=None, names=lambda: [f"cover_{v}" for v in range(n)])]
 
     eu, ev = _edge_arrays(g)
-    conflict_u, conflict_e = np.nonzero(apart[:, eu] & apart[:, ev])
+    conflict_u, conflict_e = np.nonzero(later[:, eu] & later[:, ev])
     a, b = eu[conflict_e], ev[conflict_e]
     touched = np.zeros((n, n), dtype=bool)
     touched[conflict_u, a] = touched[conflict_u, b] = True
-    isolated_u, isolated_v = np.nonzero(apart & ~touched)
+    isolated_u, isolated_v = np.nonzero(later & ~touched)
     conflict_at = np.searchsorted(conflict_u, np.arange(n + 1))
     isolated_at = np.searchsorted(isolated_u, np.arange(n + 1))
     for u in range(n):
@@ -478,10 +497,9 @@ def build_rep(g: Graph) -> MilpModel:
                 [([(0, 0, 1.0), (1, 0, -1.0)], -INF, 0.0, "")],
                 "isolated_{}_{}", owners, isolated_v[rows]))
     objective = tuple((rv(u, u), 1.0) for u in range(n))
-    reported = n + len(pair_u) // 2
     return MilpModel(kind="rep", variables=variables, blocks=tuple(blocks),
                      objective=objective, offset=0, fixings={},
-                     meta=_meta(g, reported_vars=reported))
+                     meta={**_meta(g), "order": order})
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +519,7 @@ def build_formulation(kind: str, inst: PreprocessedInstance,
     elif kind == "pop2":
         model = build_pop2(g, H, inst.anchor)
     elif kind == "rep":
-        model = build_rep(g)
+        model = build_rep(g, first=inst.clique)
     else:
         raise ModelError(f"unknown formulation {kind!r}")
     meta = dict(model.meta)
@@ -576,6 +594,9 @@ def apply_clique_fixings(m: MilpModel, inst: PreprocessedInstance) -> MilpModel:
                               [([(0, 0, 1.0), (0, 1, -1.0)], 0.0, 0.0, "")],
                               "boundary_{}_{}", us, vs),)
     elif m.kind == "rep":
+        if set(_rep_order_of(m)[:len(clique)]) != set(clique):
+            raise ModelError(f"rep model's vertex order does not start with the clique "
+                             f"{sorted(clique)}, so r_q_q = 1 could cut off every optimum")
         for u in clique:
             _add_fixing(fixings, rv(u, u), 1)
     else:
@@ -639,7 +660,7 @@ def extract_coloring(m: MilpModel, values: Mapping[str, float]) -> Coloring:
                 raise ExtractionError(f"vertex {v} has an ambiguous ordering chain {chain}")
             colors.append(steps[0])
     elif m.kind == "rep":
-        columns = _rep_columns(g)[0].T.tolist()  # columns[v][u]: r_u_v
+        columns = _rep_columns(g, _rep_order_of(m))[0].T.tolist()  # columns[v][u]: r_u_v
         rep_of = []
         for v in range(g.n):
             cands = [u for u, j in enumerate(columns[v]) if j >= 0 and val[j] == 1]
@@ -658,8 +679,9 @@ def encode_coloring(m: MilpModel, c: Coloring) -> dict[str, int]:
 
     The coloring must already agree with any fixings carried by the model
     (clique members at their precolors, the anchor at the largest color).
-    For the representatives model each class is represented by its member
-    inside the model's clique when there is one, else by its smallest id.
+    For the representatives model each class is represented by its first
+    member in the model's vertex order: its clique member when it has one,
+    else its smallest id.
     """
     g = m.graph
     colors = c.colors
@@ -673,21 +695,18 @@ def encode_coloring(m: MilpModel, c: Coloring) -> dict[str, int]:
         if m.kind == "pop2":
             bits += [1 if colors[v] == i else 0 for v in range(g.n) for i in range(1, H + 1)]
     elif m.kind == "rep":
-        columns = _rep_columns(g)[0].tolist()
-        clique = set(m.meta.get("clique") or ())
+        order = _rep_order_of(m)
+        columns = _rep_columns(g, order)[0].tolist()
         classes: dict[int, list[int]] = {}
-        for v in range(g.n):
+        for v in order:
             classes.setdefault(colors[v], []).append(v)
         bits = [0] * len(m.variables)
-        for members in classes.values():
-            special = [v for v in members if v in clique]
-            rep = special[0] if special else min(members)
+        for rep, *members in classes.values():
+            bits[rep] = 1
             for v in members:
                 if columns[rep][v] < 0:
                     raise ModelError(f"coloring puts adjacent {rep} and {v} in one class")
                 bits[columns[rep][v]] = 1
-        for u in clique:
-            bits[u] = 1
     else:
         raise ModelError(f"unknown formulation {m.kind!r}")
     values = dict(zip(m.variables, bits))

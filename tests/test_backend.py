@@ -278,10 +278,10 @@ GOLDEN_MODEL_DIGESTS = {
                     "62d985155882e7ea29ed6f12edce7e17962388f2d2feb97a325df61d692e82a1"),
     ('pop2', True): ("e79ce3df5e5c5bdcfe74e277c86bd23f4b4f63d0ea3dec8f3b0eb04f5e1c17dc",
                    "25c505490bab634afc955c00f5888232e566617c76e18b21f324e16a16f27196"),
-    ('rep', False): ("aeedcdcaeefbbb406479e4090e8d3bb15f9bdc6330f6f1c34ad6078c0f5ac771",
-                   "bda36b9d5c179e460ee5ab996d6fe471422b5ca3ea595d2b7e1062ee5a79cb60"),
-    ('rep', True): ("90a6ab0740e213bb044e7a7eab33d81b8af74a306690e098856f4d0f21d62010",
-                  "e5eaad86a417df6bd558d439b3cf23c974bb4b4ed4a54d29c996e078b7c5cf73"),
+    ('rep', False): ("f3326c33038e12c2c6d79bdc86cfb04ef95f297cf4c47302fdfa80cc142374dc",
+                   "7edeb95c23bb2704e7486af246f7ce7cba3abc28aecce38276e9ee130ccfbe65"),
+    ('rep', True): ("a71e1fc374943ac9236bc4673785ab34fc78d49242586aedeaf52d34dfa1b3cc",
+                  "3fb3dbd031d97dd0826fe2c7d0fc5e5f585aab0011858350f63537a7570519b6"),
 }
 
 

@@ -80,6 +80,8 @@ class TestSolveInstance:
         assert outcome.preprocessed.reduced.graph.n == 17
         assert len(outcome.records) == 2
         assert all(r.status.startswith("error") for r in outcome.records)
+        assert [r.error for r in outcome.records] == [
+            "ValueError: null adapter handles at most 16 vertices, got 17"] * 2
 
 
 class TestGenerate:
@@ -222,6 +224,33 @@ class TestCliCommands:
         # the CSV status column keeps the exception type only
         csv_text = (tmp_path / "out" / "c5.csv").read_text()
         assert ",error:ModelError," in csv_text and "today" not in csv_text
+
+    def test_bench_prints_the_error_of_each_failed_row(self, tmp_path, capsys, monkeypatch):
+        real = bench.build_formulation
+
+        def refuse_rep(kind, inst, upper_bound=None):
+            if kind == "rep":
+                raise ModelError("no rep today")
+            return real(kind, inst, upper_bound)
+
+        monkeypatch.setattr(bench, "build_formulation", refuse_rep)
+        (tmp_path / "broken.col").write_text("p edge 3 1\ne 1 9\n")
+        (tmp_path / "c7.col").write_text(write_dimacs(families.cycle(7)))
+        (tmp_path / "manifest.csv").write_text("file,name,n,m,p,seed,class\n"
+                                               "broken.col,broken,3,1,0,0,\n"
+                                               "c7.col,c7,7,7,0,0,\n")
+        out_csv = tmp_path / "bench.csv"
+        assert run_cli("bench", str(tmp_path / "manifest.csv"), "--model", "pop2",
+                       "--model", "rep", "--clique-budget", "0.5", "--out", str(out_csv)) == 0
+        errors = capsys.readouterr().err.splitlines()
+        assert errors[0].startswith("broken pop2: DimacsError: ")
+        assert errors[1].startswith("broken rep: DimacsError: ")
+        assert errors[2:] == ["c7 rep: ModelError: no rep today"]
+        # the CSV status column keeps the exception type only
+        rows = out_csv.read_text().splitlines()
+        assert [row.split(",")[9] for row in rows[1:]] == [
+            "error:DimacsError", "error:DimacsError", "optimal", "error:ModelError"]
+        assert "today" not in out_csv.read_text()
 
     def test_solve_bad_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.col"

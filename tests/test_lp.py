@@ -96,6 +96,27 @@ class TestParseBack:
         assert parsed.bounds == {name: (float(v), float(v))
                                  for name, v in model.fixings.items()}
 
+    @pytest.mark.parametrize("text", [
+        "Maximize\n obj: x + y\nSubject To\n c: x + y <= 1\nBounds\n 0 <= y <= 5\n"
+        "Binaries\n x\nEnd\n",
+        "Minimize\n obj: x\nSubject To\n c: x - 2.5 y >= -3\nBounds\n -2 <= y <= 4.5\n"
+        " z free\n x = 1\nEnd\n",
+    ], ids=["maximize-bounded-continuous", "free-and-fixed-no-binaries"])
+    def test_parsed_model_round_trip(self, text):
+        def content(m):
+            return (m.kind, m.variables, m.objective, m.offset, m.bounds, m.num_binary,
+                    m.minimize, [(c.name, c.terms, c.sense, c.rhs) for c in m.constraints])
+
+        parsed = parse_lp(text)
+        assert content(parse_lp(emit_lp(parsed))) == content(parsed)
+
+    def test_emit_keeps_sense_bounds_and_continuous_columns(self):
+        text = emit_lp(parse_lp("Maximize\n obj: x + y\nSubject To\n c: x + y <= 1\n"
+                                "Bounds\n 0 <= y <= 5\nBinaries\n x\nEnd\n"))
+        assert "Maximize" in text and "Minimize" not in text
+        assert text.split("Bounds\n")[1].split("Binaries")[0] == " 0 <= y <= 5\n"
+        assert text.split("Binaries\n")[1] == " x\nEnd\n"
+
     def test_long_lines_wrap_and_rejoin(self):
         g = gnp_random(60, 0.3, 1)
         model = build_ass(g, 8)

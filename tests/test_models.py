@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -153,12 +154,15 @@ class TestRepBuilder:
         m = build_rep(g)
         assert optimum(m) == 1
 
-    def test_two_isolated_vertices_without_correction_would_be_zero(self):
-        g = families.empty(2)
+    def test_isolated_row_cuts_the_one_color_point(self):
+        # later non-neighbours: 1 of 0, and 2 of 1; no conflict row touches
+        # them, so without the isolated rows 0 -> 1 -> 2 would pass as one
+        # color class although 0 and 2 are adjacent
+        g = Graph.from_edges(3, [(0, 2)])
         m = build_rep(g)
-        bad_point = {rv(0, 1): 1.0, rv(1, 0): 1.0, rv(0, 0): 0.0, rv(1, 1): 0.0}
-        violated = check_feasible(m, bad_point)
-        assert violated and all(name.startswith("isolated") for name in violated)
+        bad_point = {rv(0, 0): 1.0, rv(0, 1): 1.0, rv(1, 2): 1.0, rv(1, 1): 0.0, rv(2, 2): 0.0}
+        assert check_feasible(m, bad_point) == ["isolated_1_2"]
+        assert optimum(m) == 2
 
     def test_complete_graph(self):
         m = build_rep(families.complete(4))
@@ -169,8 +173,27 @@ class TestRepBuilder:
         c5 = families.cycle(5)
         m = build_rep(c5)
         assert len(c5.non_edges()) == 5
-        assert model_stats(m).num_vars == 10  # |non-edges| + |V|, unordered
-        assert len(m.variables) == 15  # both orientations plus the diagonal
+        # |V| + |non-edges|: one orientation per non-adjacent pair
+        assert len(m.variables) == model_stats(m).num_vars == 10
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pairs_follow_the_clique_first_order(self, seed):
+        g = gnp_random(12, 0.4, seed)
+        inst = preprocess_pipeline(g, seed=seed, clique_time_budget=0.5)
+        for m, first in ((build_rep(g, first=(5, 2)), (2, 5)),
+                         (build_formulation("rep", inst), tuple(sorted(inst.clique)))):
+            graph = m.graph
+            order = m.meta["order"]
+            assert order == first + tuple(v for v in range(graph.n) if v not in first)
+            position = {v: k for k, v in enumerate(order)}
+            edges = set(graph.edges)
+            pairs = [tuple(map(int, name.split("_")[1:])) for name in m.variables]
+            assert [u for u, v in pairs if u == v] == list(range(graph.n))
+            for u, v in pairs:
+                if u != v:
+                    assert position[u] < position[v]
+                    assert (min(u, v), max(u, v)) not in edges
+            assert len(pairs) == graph.n + len(graph.non_edges())
 
     def test_optimum_matches_oracle_on_sparse_graphs(self):
         for seed in range(5):
@@ -226,6 +249,20 @@ class TestCliqueFixings:
         inst = instance_for(g, clique=(0, 1, 2), anchor=0)
         m = apply_clique_fixings(build_rep(g), inst)
         assert m.fixings == {rv(0, 0): 1, rv(1, 1): 1, rv(2, 2): 1}
+
+    def test_rep_fixings_need_the_clique_first(self):
+        # chi = 2, but in id order vertex 0 is first in its class and must
+        # represent itself, so r_1_1 = r_2_2 = 1 would force 3 colors
+        g = Graph.from_edges(3, [(1, 2)])
+        inst = instance_for(g, clique=(1, 2), anchor=1)
+        in_id_order = build_rep(g)
+        assert optimum(replace(in_id_order, fixings={rv(1, 1): 1, rv(2, 2): 1})) == 3
+        with pytest.raises(ModelError, match="does not start with the clique"):
+            apply_clique_fixings(in_id_order, inst)
+        m = apply_clique_fixings(build_rep(g, first=(1, 2)), inst)
+        assert m.meta["order"] == (1, 2, 0)
+        assert m.fixings == {rv(1, 1): 1, rv(2, 2): 1}
+        assert optimum(m) == 2
 
     def test_conflicting_fixing_detected(self):
         g = families.complete(3)
