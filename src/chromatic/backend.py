@@ -33,6 +33,7 @@ from pathlib import Path
 
 from . import lpsolve
 from .lp import _NAME, _NUM, emit_lp
+from .lpsolve import RawSolve
 from .models import VALUE_TOLERANCE, ExtractionError, MilpModel, binary_value, objective_value
 
 KILL_GRACE_SECONDS = 10.0
@@ -68,25 +69,6 @@ class SolveResult:
     @property
     def solved(self) -> bool:
         return self.status is SolveStatus.OPTIMAL
-
-
-@dataclass(frozen=True)
-class RawSolve:
-    """What an adapter reports before normalization (no offset applied)."""
-
-    status_word: str
-    objective: float | None
-    bound: float | None
-    values: dict[str, float] | None
-    log: str = ""
-
-
-@dataclass(frozen=True)
-class ParsedSolution:
-    status_word: str | None
-    objective: float | None
-    bound: float | None
-    values: dict[str, float]
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +138,7 @@ DIALECTS: dict[str, Dialect] = {
 }
 
 
-def parse_solution(text: str, dialect: str | Dialect) -> ParsedSolution:
+def parse_solution(text: str, dialect: str | Dialect) -> RawSolve:
     """Scan solver output with a dialect's regex table.
 
     Strict dialects reject unrecognized lines with the line number; the
@@ -199,7 +181,7 @@ def parse_solution(text: str, dialect: str | Dialect) -> ParsedSolution:
         if not matched and table.strict and not line.startswith("#"):
             raise SolutionParseError(f"line {lineno}: unrecognized line {line!r} "
                                      f"for dialect {table.name}")
-    return ParsedSolution(status, objective, bound, values)
+    return RawSolve(status, objective, bound, values)
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +201,7 @@ class BuiltinAdapter:
 
     def solve_model(self, model: MilpModel, lp_path: Path | None, time_limit: float,
                     seed: int, workdir: Path | None) -> RawSolve:
-        outcome = lpsolve.solve_parsed(model, time_limit=time_limit)
-        return RawSolve(status_word=outcome.status, objective=outcome.objective,
-                        bound=outcome.bound, values=outcome.values,
-                        log=outcome.message)
+        return lpsolve.solve_parsed(model, time_limit=time_limit)
 
 
 @dataclass(frozen=True)
@@ -273,10 +252,10 @@ class CommandAdapter:
         sol_text = solout.read_text(encoding="utf-8") if solout.exists() else ""
         try:
             parsed = parse_solution(sol_text, self.dialect) if sol_text else \
-                ParsedSolution(None, None, None, {})
+                RawSolve(None, None, None, {})
             if parsed.status_word is None or parsed.objective is None:
                 from_log = parse_solution(log, self.dialect)
-                parsed = ParsedSolution(
+                parsed = RawSolve(
                     parsed.status_word or from_log.status_word,
                     parsed.objective if parsed.objective is not None else from_log.objective,
                     parsed.bound if parsed.bound is not None else from_log.bound,

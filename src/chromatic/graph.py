@@ -58,15 +58,8 @@ class Graph:
     def neighbors(self, v: int) -> frozenset[int]:
         return self.adjacency[v]
 
-    def non_neighbors(self, v: int) -> frozenset[int]:
-        """All vertices distinct from and not adjacent to v (computed on demand)."""
-        return frozenset(u for u in range(self.n) if u != v and u not in self.adjacency[v])
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
 
     def non_edges(self) -> tuple[tuple[int, int], ...]:
         """Canonical list of unordered non-adjacent distinct pairs."""
@@ -88,9 +81,6 @@ class Coloring:
     @property
     def num_colors(self) -> int:
         return len(set(self.colors))
-
-    def color(self, v: int) -> int:
-        return self.colors[v]
 
 
 @dataclass(frozen=True)

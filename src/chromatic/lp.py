@@ -8,11 +8,35 @@ for identical models. The objective's constant offset cannot be carried
 portably inside the format, so it travels as a structured comment and is
 re-applied by whoever normalizes results.
 
-The parser reads the same dialect back (plus minor spacing/keyword
-variations) into the model container the builders make, `MilpModel`, with
-all rows in one block; it feeds the bundled solver's `chromatic-lps` child
-and the emit/parse self-checks. The in-process solve writes and parses no
-text: it hands the built model to the solver as it is.
+The parser reads the same dialect back into the model container the
+builders make, `MilpModel`, with all rows in one block; it feeds the
+bundled solver's `chromatic-lps` child and the emit/parse self-checks. The
+in-process solve writes and parses no text: it hands the built model to the
+solver as it is. One grammar covers what it reads:
+
+  section headers  a line holding one keyword of `_SECTIONS`, in any case:
+                   Minimize/Minimise/Min, Maximize/Maximise/Max,
+                   Subject To/Such That/St/S.t., Bound(s), Binary/Binaries,
+                   End. Generals, Integers and Semi-continuous are refused
+                   with their line number: their columns would need bounds
+                   and integrality that the model does not carry.
+  objective        [name:] expression
+  rows             [name:] expression sense number, where the sense is one
+                   of <=, =<, <, >=, =>, > or =. A row ends at its
+                   right-hand side, so it may wrap over lines; an unnamed
+                   row k is named c<k>.
+  expression       terms [sign] [number] name; every term after the first
+                   starts with its sign
+  bounds           one per line: [a op] name [op b] or name free, so
+                   x = a, a <= x <= b, x >= a, x <= b and -inf <= x <= b.
+                   A side a line leaves unset defaults to 0 below, and
+                   above to 1 for a Binaries column and +inf otherwise.
+  binaries         names; every other column is continuous
+  comments         from a backslash to the end of the line; a line
+                   `\\ offset: k` sets the objective's constant
+
+`emit_lp` writes bounds in the same grammar, so any bound `parse_lp`
+accepts reads back the same.
 """
 from __future__ import annotations
 
@@ -30,7 +54,7 @@ class LpParseError(ValueError):
 
 
 def _coef_str(coef: float) -> str:
-    if coef == int(coef):
+    if float(coef).is_integer():
         return str(int(coef))
     return repr(coef)
 
@@ -90,12 +114,15 @@ def _row_lines(m: MilpModel) -> list[str]:
     return lines
 
 
-def _bound_line(name: str, lo: float, hi: float) -> str:
-    """A bound in one of the three forms `parse_lp` reads."""
+def _bound_line(name: str, lo: float, hi: float, top: float) -> str:
+    """A column bound as `parse_lp` reads it back; `top` is the column's
+    default upper bound, 1 for a binary and +inf otherwise."""
     if lo == hi:
         return f" {name} = {_coef_str(lo)}"
     if lo == -INF and hi == INF:
         return f" {name} free"
+    if hi == top:
+        return f" {name} >= {_coef_str(lo)}"
     return f" {_coef_str(lo)} <= {name} <= {_coef_str(hi)}"
 
 
@@ -113,13 +140,13 @@ def emit_lp(m: MilpModel) -> str:
     lines.extend(_wrap(" obj: " + _expression(objective, m.objective[0][1] if objective else 0)))
     lines.append("Subject To")
     lines.extend(_row_lines(m))
+    binaries = m.variables if m.num_binary is None else m.variables[:m.num_binary]
     bounds = [f" {name} = {m.fixings[name]}" if name in m.fixings
-              else _bound_line(name, *m.bounds[name])
-              for name in m.variables if name in m.fixings or name in m.bounds]
+              else _bound_line(name, *m.bounds[name], 1.0 if j < len(binaries) else INF)
+              for j, name in enumerate(m.variables) if name in m.fixings or name in m.bounds]
     if bounds:
         lines.append("Bounds")
         lines.extend(bounds)
-    binaries = m.variables if m.num_binary is None else m.variables[:m.num_binary]
     if binaries:
         lines.append("Binaries")
         for chunk in range(0, len(binaries), 12):
@@ -129,193 +156,175 @@ def emit_lp(m: MilpModel) -> str:
 
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_.\[\]]*"
-_NUM = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
-_TERM_RE = re.compile(rf"\s*([+-])?\s*({_NUM})?\s*({_NAME})")
-_SENSE_RE = re.compile(r"(<=|>=|=<|=>|=|<|>)")
-_LABEL_RE = re.compile(rf"^\s*({_NAME})\s*:")
-_SECTION_RE = re.compile(
-    r"^(minimize|minimise|min|maximize|maximise|max|subject\s+to|such\s+that|st|s\.t\.|"
-    r"bounds?|binar(?:y|ies)|generals?|integers?|semi-continuous|end)\s*$",
+_NUM = r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?"
+_VALUE = rf"{_NUM}|[-+]?inf(?:inity)?"
+_SENSE = r"<=|>=|=<|=>|=|<|>"
+_LE = ("<=", "=<", "<")
+_GE = (">=", "=>", ">")
+# An expression's first term may omit its sign; every later one starts with it.
+_EXPR = (rf"(?:[+-]\s*)?(?:{_NUM}\s*)?{_NAME}\s*"
+         rf"(?:[+-]\s*(?:{_NUM}\s*)?{_NAME}\s*)*+")
+_HEAD_RE = re.compile(rf"(?:({_NAME})\s*:\s*)?({_EXPR})?")
+_ROW_RE = re.compile(rf"(?:({_NAME})\s*:\s*)?({_EXPR})({_SENSE})\s*({_NUM})\s*")
+# The lookahead skips the number attempt where a term starts with its name.
+_TERM_RE = re.compile(rf"([+-]?)\s*((?=[-+.\d]){_NUM}\s*)?({_NAME})")
+_SENSE_RE = re.compile(_SENSE)
+_BOUND_RE = re.compile(
+    rf"(?:({_VALUE})\s*({_SENSE})\s*)?({_NAME})(?:\s*({_SENSE})\s*({_VALUE})|\s+(free))?\s*",
     re.IGNORECASE)
+_NAME_RE = re.compile(_NAME)
+_OFFSET_RE = re.compile(rf"\n[^\S\n]*\\[^\S\n]*offset:[^\S\n]*({_NUM})")
+_COMMENT_RE = re.compile(r"\\[^\n]*")
+_LINE_RE = re.compile(r"\S[^\n]*")
+_SPACE_RE = re.compile(r"\s*")
+_SECTIONS = {
+    "minimize": "minimize", "minimise": "minimize", "min": "minimize",
+    "maximize": "maximize", "maximise": "maximize", "max": "maximize",
+    "subject to": "rows", "such that": "rows", "st": "rows", "s.t.": "rows",
+    "bound": "bounds", "bounds": "bounds", "binary": "binaries", "binaries": "binaries",
+    "general": "refused", "generals": "refused", "integer": "refused", "integers": "refused",
+    "semi-continuous": "refused", "end": "end",
+}
+_HEADER_RE = re.compile(
+    r"\n[^\S\n]*(" + "|".join(re.escape(word).replace(r"\ ", r"[^\S\n]+") for word in _SECTIONS)
+    + r")[^\S\n]*$", re.MULTILINE | re.IGNORECASE)
 
 
-def _parse_terms(text: str, lineno: int) -> list[tuple[str, float]]:
-    terms: list[tuple[str, float]] = []
-    pos = 0
-    text = text.strip()
-    while pos < len(text):
-        match = _TERM_RE.match(text, pos)
-        if not match:
-            raise LpParseError(f"line {lineno}: cannot parse expression near {text[pos:pos + 30]!r}")
-        sign, coef, name = match.groups()
-        value = float(coef) if coef else 1.0
-        if sign == "-":
-            value = -value
-        if name != "__zero__":
-            terms.append((name, value))
-        pos = match.end()
-    return terms
+def _error(text: str, pos: int, message: str) -> LpParseError:
+    line = text.count("\n", 0, pos)  # 1-based: `parse_lp` puts a newline first
+    return LpParseError(f"line {line}: {message}")
 
 
-def _section_of(word: str) -> tuple[str, bool | None]:
-    w = re.sub(r"\s+", " ", word.lower())
-    if w in ("minimize", "minimise", "min"):
-        return "objective", True
-    if w in ("maximize", "maximise", "max"):
-        return "objective", False
-    if w in ("subject to", "such that", "st", "s.t."):
-        return "constraints", None
-    if w.startswith("bound"):
-        return "bounds", None
-    if w.startswith("binar") or w.startswith("general") or w.startswith("integer"):
-        return "binaries", None
-    if w == "end":
-        return "done", None
-    raise LpParseError(f"unhandled section keyword {word!r}")
+def _terms(expression: str) -> list[tuple[str, str, str]]:
+    """(sign, number, name) of each term of a checked expression, leaving out
+    the `__zero__` placeholder that `emit_lp` writes for an empty one."""
+    found = _TERM_RE.findall(expression)
+    if "__zero__" in expression:
+        found = [term for term in found if term[2] != "__zero__"]
+    return found
 
 
-class _RowAccumulator:
-    """Collects possibly-wrapped objective/constraint rows and parses on flush."""
+def _coefficients(terms: list[tuple[str, str, str]]) -> list[float]:
+    """The signed coefficient of each (sign, number, name) that `_TERM_RE` finds."""
+    return [-float(num or 1) if sign == "-" else float(num or 1) for sign, num, _ in terms]
 
-    def __init__(self):
-        self.objective: list[tuple[str, float]] = []
-        self.labels: list[str] = []
-        self.terms: list[list[tuple[str, float]]] = []
-        self.lo: list[float] = []
-        self.hi: list[float] = []
-        self.kind: str | None = None
-        self.label: str | None = None
-        self.body = ""
-        self.lineno = 0
 
-    def start(self, kind: str, label: str | None, body: str, lineno: int):
-        self.flush()
-        self.kind, self.label, self.body, self.lineno = kind, label, body.strip(), lineno
+def _expression_error(text: str, at: int) -> LpParseError:
+    return _error(text, at, f"cannot parse expression near {text[at:at + 30]!r}")
 
-    def extend(self, body: str):
-        self.body = f"{self.body} {body.strip()}".strip()
 
-    def open(self) -> bool:
-        return self.kind is not None
-
-    def flush(self):
-        if self.kind is None:
-            return
-        if self.kind == "objective":
-            self.objective.extend(_parse_terms(self.body, self.lineno))
-        else:
-            sense_match = None
-            for m in _SENSE_RE.finditer(self.body):
-                sense_match = m
-            if not sense_match:
-                raise LpParseError(f"line {self.lineno}: constraint without sense: {self.body!r}")
-            sense = {"<": "<=", ">": ">=", "=<": "<=", "=>": ">="}.get(
-                sense_match.group(1), sense_match.group(1))
-            lhs, rhs_text = self.body[:sense_match.start()], self.body[sense_match.end():]
-            try:
-                rhs = float(rhs_text.strip())
-            except ValueError:
-                raise LpParseError(f"line {self.lineno}: non-numeric right-hand side "
-                                   f"{rhs_text.strip()!r}") from None
-            self.labels.append(self.label or f"c{len(self.labels)}")
-            self.terms.append(_parse_terms(lhs, self.lineno))
-            self.lo.append(-float("inf") if sense == "<=" else rhs)
-            self.hi.append(float("inf") if sense == ">=" else rhs)
-        self.kind = None
-        self.label = None
-        self.body = ""
-
-    def model(self, offset: float, minimize: bool, bounds: dict[str, tuple[float, float]],
-              binaries: list[str]) -> MilpModel:
-        """The rows as one block over columns in first-seen order: the
-        binaries, then names from the objective, the rows and the bounds."""
-        columns: dict[str, int] = {}
-        for name in binaries:
-            columns.setdefault(name, len(columns))
-        num_binary = len(columns)
-        for name, _ in self.objective:
-            columns.setdefault(name, len(columns))
-        cols = [columns.setdefault(name, len(columns)) for terms in self.terms for name, _ in terms]
-        for name in bounds:
-            columns.setdefault(name, len(columns))
-        indptr = np.zeros(len(self.terms) + 1, dtype=np.int64)
-        np.cumsum(np.array([len(terms) for terms in self.terms], dtype=np.int64), out=indptr[1:])
-        labels = self.labels
-        rows = RowBlock("lp", indptr=indptr, cols=np.array(cols, dtype=np.int64),
-                        coefs=np.array([coef for terms in self.terms for _, coef in terms],
-                                       dtype=float),
-                        lo=np.array(self.lo, dtype=float), hi=np.array(self.hi, dtype=float),
-                        dense_width=None, names=lambda: labels)
-        return MilpModel(kind="lp", variables=tuple(columns), blocks=(rows,),
-                         objective=tuple(self.objective), offset=offset, fixings={}, meta={},
-                         bounds=bounds, num_binary=num_binary, minimize=minimize)
+def _row_error(text: str, pos: int, end: int) -> LpParseError:
+    """Why the row starting at `pos` does not match `_ROW_RE`."""
+    head = _HEAD_RE.match(text, pos, end)
+    at = head.end()
+    sense = _SENSE_RE.match(text, at, end)
+    if head.group(2) and sense:
+        rhs = text[sense.end():end].split()
+        return _error(text, sense.end(), f"non-numeric right-hand side {rhs[0] if rhs else ''!r}")
+    if head.group(2) and (at == end or _HEAD_RE.match(text, at, end).group(1)):
+        return _error(text, pos, f"constraint without sense: {' '.join(text[pos:at].split())!r}")
+    return _expression_error(text, at)
 
 
 def parse_lp(text: str) -> MilpModel:
-    """Parse LP text (the emitted dialect and close variants) into a model."""
-    rows = _RowAccumulator()
-    offset, minimize = 0.0, True
-    bounds: dict[str, tuple[float, float]] = {}
-    binaries: list[str] = []
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped_comment = raw.split("\\")[0]
-        if raw.lstrip().startswith("\\"):
-            offset_match = re.match(r"\\\s*offset:\s*(" + _NUM + ")", raw.lstrip())
-            if offset_match:
-                offset = float(offset_match.group(1))
-            continue
-        line = stripped_comment.strip()
-        if not line:
-            continue
-        if _SECTION_RE.match(line):
-            rows.flush()
-            section, sense = _section_of(line)
-            if sense is not None:
-                minimize = sense
-            continue
-        if section == "objective":
-            label_match = _LABEL_RE.match(line)
-            if label_match:
-                rows.start("objective", label_match.group(1),
-                           line[label_match.end():], lineno)
-            elif rows.open():
-                rows.extend(line)
-            else:
-                rows.start("objective", None, line, lineno)
-        elif section == "constraints":
-            label_match = _LABEL_RE.match(line)
-            if label_match:
-                rows.start("constraint", label_match.group(1),
-                           line[label_match.end():], lineno)
-            elif rows.open():
-                rows.extend(line)
-            else:
-                rows.start("constraint", None, line, lineno)
-        elif section == "bounds":
-            fixed = re.match(rf"^({_NAME})\s*=\s*({_NUM})$", line)
-            ranged = re.match(rf"^({_NUM})\s*<=\s*({_NAME})\s*<=\s*({_NUM})$", line)
-            free = re.match(rf"^({_NAME})\s+free$", line, re.IGNORECASE)
-            if fixed:
-                val = float(fixed.group(2))
-                bounds[fixed.group(1)] = (val, val)
-            elif ranged:
-                bounds[ranged.group(2)] = (float(ranged.group(1)), float(ranged.group(3)))
-            elif free:
-                bounds[free.group(1)] = (float("-inf"), float("inf"))
-            else:
-                raise LpParseError(f"line {lineno}: cannot parse bound {line!r}")
-        elif section == "binaries":
-            for token in line.split():
-                if not re.fullmatch(_NAME, token):
-                    raise LpParseError(f"line {lineno}: bad variable name {token!r}")
-                binaries.append(token)
-        elif section == "done":
-            raise LpParseError(f"line {lineno}: content after End")
-        else:
-            raise LpParseError(f"line {lineno}: content before any section: {line!r}")
-    rows.flush()
-    if not binaries and not rows.objective and not rows.terms:
-        raise LpParseError("no LP content found")
-    return rows.model(offset, minimize, bounds, binaries)
+    """Parse LP text (the emitted dialect and close variants) into a model.
 
+    Columns come in first-seen order: the binaries, then names from the
+    objective, the rows and the bounds.
+    """
+    text = "\n" + text  # every line, the first one too, starts after a newline
+    offsets = _OFFSET_RE.findall(text)
+    text = _COMMENT_RE.sub("", text)
+    headers = list(_HEADER_RE.finditer(text))
+    start = headers[0].start() if headers else len(text)
+    first = _SPACE_RE.match(text, 0, start).end()
+    if first < start:
+        raise _error(text, first, f"content before any section: "
+                                  f"{_LINE_RE.match(text, first).group().strip()!r}")
+    minimize = True
+    objective: list[tuple[str, float]] = []
+    labels: list[str | None] = []
+    senses: list[str] = []
+    rhs: list[float] = []
+    widths: list[int] = []
+    terms: list[tuple[str, str, str]] = []
+    sides: dict[str, list[float | None]] = {}
+    binaries: list[str] = []
+    for header, following in zip(headers, headers[1:] + [None]):
+        section = _SECTIONS[" ".join(header.group(1).lower().split())]
+        pos = _SPACE_RE.match(text, header.end()).end()
+        end = following.start() if following else len(text)
+        if section == "refused":
+            raise _error(text, header.start(1), f"section {header.group(1)!r} is not supported: "
+                                                f"only binary and continuous columns are read")
+        if section in ("minimize", "maximize"):
+            minimize = section == "minimize"
+            head = _HEAD_RE.match(text, pos, end)
+            if head.end() < end:
+                raise _expression_error(text, head.end())
+            found = _terms(head.group(2) or "")
+            objective += zip([name for _, _, name in found], _coefficients(found))
+        elif section == "rows":
+            while pos < end:
+                row = _ROW_RE.match(text, pos, end)
+                if row is None:
+                    raise _row_error(text, pos, end)
+                label, lhs, sense, value = row.groups()
+                found = _terms(lhs)
+                labels.append(label)
+                senses.append(sense)
+                rhs.append(float(value))
+                widths.append(len(found))
+                terms += found
+                pos = row.end()
+        elif section == "bounds":
+            for line in _LINE_RE.finditer(text, pos, end):
+                bound = _BOUND_RE.fullmatch(text, *line.span())
+                if bound is None or not (bound.group(2) or bound.group(4) or bound.group(6)):
+                    raise _error(text, line.start(),
+                                 f"cannot parse bound {line.group().strip()!r}")
+                a, before, name, after, b, free = bound.groups()
+                side = sides.setdefault(name, [None, None])
+                if free:
+                    side[:] = [-INF, INF]
+                for sense, value, right in ((before, a, False), (after, b, True)):
+                    if sense == "=":
+                        side[:] = [float(value)] * 2
+                    elif sense:  # "a <= x" and "x >= b" set side 0, the lower one
+                        side[(sense in _LE) == right] = float(value)
+        elif section == "binaries":
+            for line in _LINE_RE.finditer(text, pos, end):
+                for token in line.group().split():
+                    if not _NAME_RE.fullmatch(token):
+                        raise _error(text, line.start(), f"bad variable name {token!r}")
+                    binaries.append(token)
+        elif pos < end:
+            raise _error(text, pos, "content after End")
+    if not binaries and not objective and not labels:
+        raise LpParseError("no LP content found")
+
+    num_binary = len(dict.fromkeys(binaries))
+    names = [name for _, _, name in terms]
+    variables = tuple(dict.fromkeys([*binaries, *(name for name, _ in objective), *names,
+                                     *sides]))
+    columns = dict(zip(variables, range(len(variables))))
+    binary = set(variables[:num_binary])
+    bounds = {name: (0.0 if lo is None else lo,
+                     (1.0 if name in binary else INF) if hi is None else hi)
+              for name, (lo, hi) in sides.items()}
+    indptr = np.zeros(len(widths) + 1, dtype=np.int64)
+    np.cumsum(widths, out=indptr[1:])
+    values = np.array(rhs, dtype=float)
+    senses_array = np.array(senses, dtype=str)
+    names_of_rows = [label or f"c{i}" for i, label in enumerate(labels)]
+    rows = RowBlock("lp", indptr=indptr,
+                    cols=np.fromiter(map(columns.__getitem__, names), dtype=np.int64,
+                                     count=len(names)),
+                    coefs=np.array(_coefficients(terms), dtype=float),
+                    lo=np.where(np.isin(senses_array, _LE), -INF, values),
+                    hi=np.where(np.isin(senses_array, _GE), INF, values),
+                    dense_width=None, names=lambda: names_of_rows)
+    return MilpModel(kind="lp", variables=variables, blocks=(rows,),
+                     objective=tuple(objective), offset=float(offsets[-1]) if offsets else 0.0,
+                     fixings={}, meta={}, bounds=bounds, num_binary=num_binary,
+                     minimize=minimize)

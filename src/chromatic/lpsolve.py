@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,19 +35,26 @@ STATUS_WORDS = ("optimal", "feasible", "infeasible", "unbounded", "nosolution", 
 
 
 @dataclass(frozen=True)
-class LpSolveOutcome:
-    status: str
+class RawSolve:
+    """What a solver reports before normalization (no offset applied): the
+    result of `solve_parsed`, or what `backend.parse_solution` reads from a
+    solver's output, where a missing status word is None."""
+
+    status_word: str | None
     objective: float | None
     bound: float | None
     values: dict[str, float] | None
-    message: str
-    wall_time: float
+    log: str = ""
+
+    @property
+    def status(self) -> str | None:
+        """The status word, as the solution file's `status` line names it."""
+        return self.status_word
 
 
-def solve_parsed(model: MilpModel, time_limit: float = 3600.0) -> LpSolveOutcome:
+def solve_parsed(model: MilpModel, time_limit: float = 3600.0) -> RawSolve:
     names = model.variables
     nvar = len(names)
-    started = time.monotonic()
 
     c = np.zeros(nvar)
     for name, coef in model.objective:
@@ -83,10 +89,8 @@ def solve_parsed(model: MilpModel, time_limit: float = 3600.0) -> LpSolveOutcome
                    bounds=Bounds(lower, upper),
                    options={"time_limit": float(time_limit), "mip_rel_gap": 0.0})
     except ValueError as exc:
-        return LpSolveOutcome("error", None, None, None, f"solver rejected model: {exc}",
-                              time.monotonic() - started)
+        return RawSolve("error", None, None, None, f"solver rejected model: {exc}")
 
-    wall = time.monotonic() - started
     incumbent = res.x is not None
     objective = sign * float(res.fun) if incumbent else None
     bound = getattr(res, "mip_dual_bound", None)
@@ -109,19 +113,19 @@ def solve_parsed(model: MilpModel, time_limit: float = 3600.0) -> LpSolveOutcome
         status = "error"
 
     values = dict(zip(names, res.x.tolist())) if incumbent else None
-    return LpSolveOutcome(status, objective, bound, values, str(res.message), wall)
+    return RawSolve(status, objective, bound, values, str(res.message))
 
 
-def solve_lp_text(text: str, time_limit: float = 3600.0) -> LpSolveOutcome:
+def solve_lp_text(text: str, time_limit: float = 3600.0) -> RawSolve:
     return solve_parsed(parse_lp(text), time_limit=time_limit)
 
 
-def render_solution(outcome: LpSolveOutcome) -> str:
-    lines = ["c chromatic-lps solution file", f"status {outcome.status}"]
+def render_solution(outcome: RawSolve) -> str:
+    lines = ["c chromatic-lps solution file", f"status {outcome.status_word}"]
     if outcome.objective is not None:
         lines.append(f"objective {outcome.objective:.12g}")
     lines.append(f"bound {outcome.bound:.12g}" if outcome.bound is not None else "bound -inf")
-    lines.append(f"c message {outcome.message}".replace("\n", " "))
+    lines.append(f"c message {outcome.log}".replace("\n", " "))
     if outcome.values is not None:
         for name in sorted(outcome.values):
             lines.append(f"v {name} {outcome.values[name]:.12g}")
@@ -154,7 +158,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"chromatic-lps: cannot write solution: {exc}", file=sys.stderr)
         return 2
-    print(f"chromatic-lps: {outcome.status}"
+    print(f"chromatic-lps: {outcome.status_word}"
           + (f" objective {outcome.objective:.12g}" if outcome.objective is not None else ""))
     return 0
 

@@ -505,11 +505,10 @@ def build_rep(g: Graph, first=()) -> MilpModel:
 # ---------------------------------------------------------------------------
 # instance-level dispatch and clique fixings
 
-def build_formulation(kind: str, inst: PreprocessedInstance,
-                      upper_bound: int | None = None) -> MilpModel:
+def build_formulation(kind: str, inst: PreprocessedInstance) -> MilpModel:
     """Build one formulation for a preprocessed instance (no fixings yet)."""
     g = inst.reduced.graph
-    H = inst.upper_bound if upper_bound is None else upper_bound
+    H = inst.upper_bound
     if kind == "ass-s":
         model = build_ass_s(g, H)
     elif kind == "ass":

@@ -208,7 +208,7 @@ class TestCliCommands:
         assert coloring.num_colors == 2
 
     def test_solve_prints_the_error_of_a_failed_model(self, tmp_path, capsys, monkeypatch):
-        def refuse(kind, inst, upper_bound=None):
+        def refuse(kind, inst):
             raise ModelError(f"no {kind} today")
 
         monkeypatch.setattr(bench, "build_formulation", refuse)
@@ -228,10 +228,10 @@ class TestCliCommands:
     def test_bench_prints_the_error_of_each_failed_row(self, tmp_path, capsys, monkeypatch):
         real = bench.build_formulation
 
-        def refuse_rep(kind, inst, upper_bound=None):
+        def refuse_rep(kind, inst):
             if kind == "rep":
                 raise ModelError("no rep today")
-            return real(kind, inst, upper_bound)
+            return real(kind, inst)
 
         monkeypatch.setattr(bench, "build_formulation", refuse_rep)
         (tmp_path / "broken.col").write_text("p edge 3 1\ne 1 9\n")

@@ -36,10 +36,6 @@ class TestGraphType:
         with pytest.raises(ValueError, match="out of range"):
             Graph.from_edges(2, [(0, 2)])
 
-    def test_non_neighbors(self):
-        g = families.cycle(5)
-        assert g.non_neighbors(0) == frozenset({2, 3})
-
 
 class TestParseDimacs:
     def test_basic(self):

@@ -101,7 +101,9 @@ class TestParseBack:
         "Binaries\n x\nEnd\n",
         "Minimize\n obj: x\nSubject To\n c: x - 2.5 y >= -3\nBounds\n -2 <= y <= 4.5\n"
         " z free\n x = 1\nEnd\n",
-    ], ids=["maximize-bounded-continuous", "free-and-fixed-no-binaries"])
+        "Minimize\n obj: x + y + z\nSubject To\n c: x + y + z >= 1\nBounds\n x >= 2\n y <= 3\n"
+        " -inf <= z <= 4\nEnd\n",
+    ], ids=["maximize-bounded-continuous", "free-and-fixed-no-binaries", "one-sided"])
     def test_parsed_model_round_trip(self, text):
         def content(m):
             return (m.kind, m.variables, m.objective, m.offset, m.bounds, m.num_binary,
@@ -143,6 +145,12 @@ class TestParserFlexibility:
         parsed = parse_lp("Minimize\n x\nSubject To\n x + y >= 1\nEnd\n")
         assert parsed.constraints[0].name == "c0"
 
+    def test_two_unnamed_constraints(self):
+        parsed = parse_lp("Minimize\n x\nSubject To\n x + y >= 1\n x - y <= 0\nEnd\n")
+        assert [(c.name, c.terms, c.sense, c.rhs) for c in parsed.constraints] == [
+            ("c0", (("x", 1.0), ("y", 1.0)), ">=", 1.0),
+            ("c1", (("x", 1.0), ("y", -1.0)), "<=", 0.0)]
+
     def test_inline_comment_stripped(self):
         parsed = parse_lp("Minimize\n obj: x \\ cost\nSubject To\n c: x >= 0\nEnd\n")
         assert parsed.objective == (("x", 1.0),)
@@ -178,6 +186,11 @@ class TestParserErrors:
         with pytest.raises(LpParseError, match="no LP content"):
             parse_lp("\\ nothing here\n")
 
+    @pytest.mark.parametrize("keyword", ["Generals", "Integers", "Semi-continuous"])
+    def test_unsupported_section_refused(self, keyword):
+        with pytest.raises(LpParseError, match=f"line 5: section '{keyword}' is not supported"):
+            parse_lp(f"Maximize\n obj: x\nSubject To\n c: x <= 5\n{keyword}\n x\nEnd\n")
+
     @given(st.text(alphabet=st.characters(min_codepoint=9, max_codepoint=126),
                    max_size=400))
     def test_fuzz_never_raises_other_exceptions(self, text):
@@ -185,3 +198,55 @@ class TestParserErrors:
             parse_lp(text)
         except LpParseError:
             pass
+
+
+NUMBERS = st.sampled_from(["1", "2", "3", "0.5", "2.5e1", "-1", "-4"])
+
+
+@st.composite
+def lp_texts(draw):
+    """LP text over a few columns: any objective keyword, labelled and
+    unlabelled rows in every sense spelling, every bound shape, binaries."""
+    names = [f"v{i}" for i in range(draw(st.integers(1, 5)))]
+
+    def expression():
+        terms = draw(st.lists(st.tuples(st.sampled_from(["+", "-"]),
+                                        st.sampled_from(["", "2 ", "0.5", "3e0 "]),
+                                        st.sampled_from(names)),
+                              min_size=1, max_size=4))
+        text = " ".join(f"{sign} {coef}{name}" for sign, coef, name in terms)
+        return text[2:] if text.startswith("+") and draw(st.booleans()) else text
+
+    lines = []
+    if draw(st.booleans()):
+        lines.append(f"\\ offset: {draw(NUMBERS)}")
+    lines.append(draw(st.sampled_from(["Minimize", "MAXIMIZE", "min", "Max", "maximise"])))
+    lines.append(f" {draw(st.sampled_from(['obj: ', '']))}{expression()}")
+    lines.append(draw(st.sampled_from(["Subject To", "st", "s.t.", "such that"])))
+    for k in range(draw(st.integers(0, 4))):
+        label = f"r{k}: " if draw(st.booleans()) else ""
+        sense = draw(st.sampled_from(["<=", "=<", "<", ">=", "=>", ">", "="]))
+        lines.append(f" {label}{expression()} {sense} {draw(NUMBERS)}")
+    shapes = ["{x} = {a}", "{a} <= {x} <= {b}", "{x} >= {a}", "{x} <= {b}",
+              "-inf <= {x} <= {b}", "{x} free"]
+    bounds = draw(st.lists(st.tuples(st.sampled_from(shapes), st.sampled_from(names),
+                                     NUMBERS, NUMBERS), max_size=4))
+    if bounds:
+        lines.append("Bounds")
+        lines.extend(" " + shape.format(x=x, a=a, b=b) for shape, x, a, b in bounds)
+    binaries = draw(st.lists(st.sampled_from(names), max_size=3))
+    if binaries:
+        lines.append("Binaries")
+        lines.append(" " + " ".join(binaries))
+    return "\n".join(lines + ["End"]) + "\n"
+
+
+class TestGrammar:
+    @given(lp_texts())
+    def test_parse_emit_parse_is_stable(self, text):
+        def content(m):
+            return (m.minimize, m.variables, m.objective, m.offset, m.bounds, m.num_binary,
+                    [(c.name, c.terms, c.sense, c.rhs) for c in m.constraints])
+
+        parsed = parse_lp(text)
+        assert content(parse_lp(emit_lp(parsed))) == content(parsed)

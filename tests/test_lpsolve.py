@@ -1,4 +1,4 @@
-from chromatic.lpsolve import render_solution, solve_lp_text
+from chromatic.lpsolve import main, render_solution, solve_lp_text
 
 
 def test_minimize_binary():
@@ -58,3 +58,20 @@ def test_render_includes_all_sections():
     assert "objective 1" in text
     assert "bound 1" in text
     assert "v x 1" in text
+
+
+def test_lower_bound_on_a_binary_keeps_it_binary():
+    outcome = solve_lp_text(
+        "Maximize\n obj: x\nSubject To\nBounds\n x >= 1\nBinaries\n x\nEnd\n",
+        time_limit=10)
+    assert outcome.status == "optimal"
+    assert outcome.objective == 1.0
+
+
+def test_general_integers_are_refused(tmp_path, capsys):
+    model = tmp_path / "model.lp"
+    model.write_text("Maximize\n obj: x\nSubject To\n c: x <= 5\nGenerals\n x\nEnd\n")
+    solution = tmp_path / "model.sol"
+    assert main([str(model), "--out", str(solution)]) == 3
+    assert not solution.exists()
+    assert "line 5" in capsys.readouterr().err
