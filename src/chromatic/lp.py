@@ -14,7 +14,8 @@ bundled solver's `chromatic-lps` child and the emit/parse self-checks. The
 in-process solve writes and parses no text: it hands the built model to the
 solver as it is. One grammar covers what it reads:
 
-  section headers  a line holding one keyword of `_SECTIONS`, in any case:
+  section headers  a line holding one keyword of `_SECTIONS`, in any ASCII
+                   case:
                    Minimize/Minimise/Min, Maximize/Maximise/Max,
                    Subject To/Such That/St/S.t., Bound(s), Binary/Binaries,
                    End. Generals, Integers and Semi-continuous are refused
@@ -22,11 +23,11 @@ solver as it is. One grammar covers what it reads:
                    and integrality that the model does not carry.
   objective        [name:] expression
   rows             [name:] expression sense number, where the sense is one
-                   of <=, =<, <, >=, =>, > or =. A row ends at its
-                   right-hand side, so it may wrap over lines; an unnamed
-                   row k is named c<k>.
-  expression       terms [sign] [number] name; every term after the first
-                   starts with its sign
+                   of <=, =<, <, >=, =>, > or =, and the number is finite.
+                   A row ends at its right-hand side, so it may wrap over
+                   lines; an unnamed row k is named c<k>.
+  expression       one or more terms [sign] [number] name; every term
+                   after the first starts with its sign
   bounds           one per line: [a op] name [op b] or name free, so
                    x = a, a <= x <= b, x >= a, x <= b and -inf <= x <= b.
                    A side a line leaves unset defaults to 0 below, and
@@ -157,21 +158,24 @@ def emit_lp(m: MilpModel) -> str:
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_.\[\]]*"
 _NUM = r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?"
-_VALUE = rf"{_NUM}|[-+]?inf(?:inity)?"
+# `(?ai:...)`: any case of these ASCII letters, and no Unicode case folds.
+_VALUE = rf"{_NUM}|[-+]?(?ai:inf(?:inity)?)"
 _SENSE = r"<=|>=|=<|=>|=|<|>"
 _LE = ("<=", "=<", "<")
 _GE = (">=", "=>", ">")
 # An expression's first term may omit its sign; every later one starts with it.
 _EXPR = (rf"(?:[+-]\s*)?(?:{_NUM}\s*)?{_NAME}\s*"
-         rf"(?:[+-]\s*(?:{_NUM}\s*)?{_NAME}\s*)*+")
+         rf"(?:[+-]\s*(?:{_NUM}\s*)?{_NAME}\s*)*")
 _HEAD_RE = re.compile(rf"(?:({_NAME})\s*:\s*)?({_EXPR})?")
-_ROW_RE = re.compile(rf"(?:({_NAME})\s*:\s*)?({_EXPR})({_SENSE})\s*({_NUM})\s*")
+# `(?=(...))\2` holds the expression atomic, as `(?>...)` would from Python
+# 3.11 on: a row that fails is refused in linear time instead of retrying
+# every way its terms split ("2e5x" is 2e5 x or 2 e5x), which is exponential.
+_ROW_RE = re.compile(rf"(?:({_NAME})\s*:\s*)?(?=({_EXPR}))\2({_SENSE})\s*({_NUM})\s*")
 # The lookahead skips the number attempt where a term starts with its name.
 _TERM_RE = re.compile(rf"([+-]?)\s*((?=[-+.\d]){_NUM}\s*)?({_NAME})")
 _SENSE_RE = re.compile(_SENSE)
 _BOUND_RE = re.compile(
-    rf"(?:({_VALUE})\s*({_SENSE})\s*)?({_NAME})(?:\s*({_SENSE})\s*({_VALUE})|\s+(free))?\s*",
-    re.IGNORECASE)
+    rf"(?:({_VALUE})\s*({_SENSE})\s*)?({_NAME})(?:\s*({_SENSE})\s*({_VALUE})|\s+((?ai:free)))?\s*")
 _NAME_RE = re.compile(_NAME)
 _OFFSET_RE = re.compile(rf"\n[^\S\n]*\\[^\S\n]*offset:[^\S\n]*({_NUM})")
 _COMMENT_RE = re.compile(r"\\[^\n]*")
@@ -187,7 +191,7 @@ _SECTIONS = {
 }
 _HEADER_RE = re.compile(
     r"\n[^\S\n]*(" + "|".join(re.escape(word).replace(r"\ ", r"[^\S\n]+") for word in _SECTIONS)
-    + r")[^\S\n]*$", re.MULTILINE | re.IGNORECASE)
+    + r")[^\S\n]*$", re.MULTILINE | re.IGNORECASE | re.ASCII)
 
 
 def _error(text: str, pos: int, message: str) -> LpParseError:

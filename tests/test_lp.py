@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -191,9 +192,37 @@ class TestParserErrors:
         with pytest.raises(LpParseError, match=f"line 5: section '{keyword}' is not supported"):
             parse_lp(f"Maximize\n obj: x\nSubject To\n c: x <= 5\n{keyword}\n x\nEnd\n")
 
+    @pytest.mark.parametrize("text", [
+        "\u017ft\n",
+        "Minimize\n x\nSubject To\n c: x >= 1\nBounds\n x <= \u0131nf\nEnd\n",
+    ], ids=["long-s-header", "dotless-i-inf"])
+    def test_unicode_case_folds_are_not_keywords(self, text):
+        with pytest.raises(LpParseError):
+            parse_lp(text)
+
+    def test_failing_row_is_refused_in_linear_time(self):
+        # Each "2e5x" reads as 2e5 x or as 2 e5x: trying every split of 24
+        # such terms before giving up would take minutes.
+        row = " + ".join(["2e5x"] * 24)
+        started = time.perf_counter()
+        with pytest.raises(LpParseError, match="right-hand side"):
+            parse_lp(f"Minimize\n x\nSubject To\n c: {row} >= abc\nEnd\n")
+        assert time.perf_counter() - started < 1.0
+
     @given(st.text(alphabet=st.characters(min_codepoint=9, max_codepoint=126),
                    max_size=400))
     def test_fuzz_never_raises_other_exceptions(self, text):
+        try:
+            parse_lp(text)
+        except LpParseError:
+            pass
+
+    @given(st.lists(st.sampled_from([
+        "Minimize", "Subject To", "Bounds", "Binaries", "End", "\n", " ", "x", "c:", "<=",
+        ">=", "=", "1", "inf", "free", "+", "-", "e5", "\u017ft", "m\u0131n", "\u0131nf",
+        "\u0130", "\u212a", "\xa0", "\x1c", "\u0663"]),
+        max_size=60).map("".join))
+    def test_fuzz_unicode_never_raises_other_exceptions(self, text):
         try:
             parse_lp(text)
         except LpParseError:

@@ -64,7 +64,7 @@ def test_lower_bound_on_a_binary_keeps_it_binary():
     outcome = solve_lp_text(
         "Maximize\n obj: x\nSubject To\nBounds\n x >= 1\nBinaries\n x\nEnd\n",
         time_limit=10)
-    assert outcome.status == "optimal"
+    assert outcome.status_word == "optimal"
     assert outcome.objective == 1.0
 
 
