@@ -3,7 +3,7 @@
 A run of one instance preprocesses once, then for each requested
 formulation builds the model, applies the clique fixings, solves, lifts the
 solution back through the dominance stack and verifies it. When the clique
-already meets the greedy bound the instance is settled in preprocessing and
+already meets the upper bound the instance is settled in preprocessing and
 no MILP is solved at all.
 
 CSV rows follow the benchmark-table convention: instance, sizes, optional
@@ -121,7 +121,7 @@ def solve_instance(g: Graph, name: str, cfg: RunConfig,
         report = verify_coloring(g, restored)
         if not report.valid:
             raise ColoringError(
-                f"greedy coloring violates edges {report.violating_edges[:3]}")
+                f"upper-bound coloring violates edges {report.violating_edges[:3]}")
         bound = inst.upper_bound
         for model_name in cfg.models:
             outcome.records.append(BenchmarkRecord(

@@ -94,7 +94,7 @@ def cmd_solve(args) -> int:
     removed = inst.reduced.original_n - inst.reduced.graph.n
     print(f"instance {name}: |V|={g.n} |E|={g.m}")
     print(f"preprocessing: removed {removed} dominated vertices, "
-          f"clique size {inst.lower_bound}, greedy bound {inst.upper_bound}, "
+          f"clique size {inst.lower_bound}, upper bound {inst.upper_bound}, "
           f"anchor vertex {inst.anchor + 1} (1-based), {outcome.prep_time:.2f}s")
     if inst.solved_in_preprocessing:
         print("bounds met in preprocessing; no MILP solved")

@@ -70,9 +70,7 @@ def _expression(joined: str, first_coef: float) -> str:
     """`_term` tokens joined by spaces as an expression: the first drops its "+"."""
     if not joined:
         return "0 __zero__"
-    if first_coef > 0:
-        return joined[2:]
-    return joined if first_coef < 0 else f"- {joined[2:]}"
+    return joined if first_coef < 0 else joined[2:]
 
 
 def _wrap(line: str) -> list[str]:

@@ -46,11 +46,6 @@ class RawSolve:
     values: dict[str, float] | None
     log: str = ""
 
-    @property
-    def status(self) -> str | None:
-        """The status word, as the solution file's `status` line names it."""
-        return self.status_word
-
 
 def solve_parsed(model: MilpModel, time_limit: float = 3600.0) -> RawSolve:
     names = model.variables

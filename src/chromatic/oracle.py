@@ -1,6 +1,7 @@
 """Exact chromatic numbers for small graphs, used as ground truth in tests.
 
-Backtracking with saturation-degree vertex selection and the standard
+Backtracking with saturation-degree vertex selection (`preprocess.Saturation`,
+the routine the DSATUR upper bound uses) and the standard
 color-symmetry pruning: a new color may only be introduced as (max used)+1.
 Capped at a configurable vertex count because it exists for verification,
 not for benchmark performance.
@@ -10,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Coloring, Graph
+from .preprocess import Saturation, greedy_upper_bound
 
 DEFAULT_CAP = 25
 
@@ -31,38 +33,27 @@ def _check_cap(g: Graph, cap: int):
 
 
 def _search(g: Graph, k: int) -> tuple[Coloring | None, int]:
-    color = [0] * g.n
+    state = Saturation(g)
     nodes = 0
-
-    def pick() -> int:
-        best, best_key = -1, (-1, -1, 0)
-        for v in range(g.n):
-            if color[v]:
-                continue
-            sat = len({color[u] for u in g.adjacency[v] if color[u]})
-            key = (sat, g.degree(v), -v)
-            if key > best_key:
-                best_key, best = key, v
-        return best
 
     def descend(colored: int, used: int) -> bool:
         nonlocal nodes
         nodes += 1
         if colored == g.n:
             return True
-        v = pick()
-        forbidden = {color[u] for u in g.adjacency[v]}
+        v = state.pick()
+        taken = state.seen[v]
         for c in range(1, min(k, used + 1) + 1):
-            if c in forbidden:
+            if c in taken:
                 continue
-            color[v] = c
+            state.assign(v, c)
             if descend(colored + 1, max(used, c)):
                 return True
-            color[v] = 0
+            state.unassign(v)
         return False
 
     if descend(0, 0):
-        return Coloring(tuple(color)), nodes
+        return Coloring(tuple(state.color)), nodes
     return None, nodes
 
 
@@ -94,8 +85,6 @@ def chromatic_number_exact(g: Graph, cap: int = DEFAULT_CAP) -> OracleResult:
     _check_cap(g, cap)
     if g.n == 0:
         return OracleResult(chi=0, witness=Coloring(()), nodes_explored=0)
-
-    from .preprocess import greedy_upper_bound
 
     lb = max(1, len(_greedy_clique(g)))
     ub, greedy = greedy_upper_bound(g)

@@ -1,10 +1,11 @@
 """Instance reduction and bounds ahead of any MILP build.
 
-The pipeline: (a) remove dominated vertices to a fixed point, (b) greedy
-upper bound on the reduced graph, (c)/(e) randomized maximal-clique search
+The pipeline: (a) remove dominated vertices to a fixed point, (b) DSATUR
+upper bound H on the reduced graph, (c)/(e) randomized maximal-clique search
 scored either by clique size or by the fixing-count objective
-|Q|*H + |delta(Q)|, (d) early exit when the clique size meets the upper
-bound. A dominance restore stack maps any coloring of the reduced graph
+|Q|*H + |delta(Q)|, then a TabuCol descent that lowers the upper bound one
+color at a time towards |Q|, (d) early exit when the clique size meets the
+upper bound. A dominance restore stack maps any coloring of the reduced graph
 back to the original one without new colors.
 """
 from __future__ import annotations
@@ -18,6 +19,13 @@ from .graph import Coloring, ColoringError, Graph, verify_coloring
 
 DEFAULT_CLIQUE_TIME_BUDGET = 60.0
 CLIQUE_TRIALS_PER_DENSITY = 300
+# TabuCol's budget per color count tried, in moves, and its tabu tenure: a
+# barred move stays barred for randrange(SPREAD) + PER_CONFLICT * (number of
+# conflicting vertices) moves. A move count, not a time, so H does not depend
+# on the machine.
+TABUCOL_ITERATIONS = 2000
+TABU_TENURE_SPREAD = 10
+TABU_TENURE_PER_CONFLICT = 0.6
 
 
 class NotACliqueError(ValueError):
@@ -119,20 +127,124 @@ def restore_coloring(r: ReducedInstance, c: Coloring) -> Coloring:
     return Coloring(tuple(colors))  # type: ignore[arg-type]
 
 
+class Saturation:
+    """A partial coloring that keeps, per vertex, the colors of its neighbours.
+
+    `color[v]` is 0 while v is uncolored. `seen[v]` counts v's neighbours by
+    color, so `len(seen[v])` is v's saturation (the number of distinct
+    colors next to it) and `c in seen[v]` says whether c is taken next to v.
+    Coloring or uncoloring a vertex costs O(deg), so the DSATUR heuristic and
+    the oracle's backtracking search both keep saturation without recounting.
+    """
+
+    def __init__(self, g: Graph):
+        self.adjacency = g.adjacency
+        self.degree = [len(neighbours) for neighbours in g.adjacency]
+        self.color = [0] * g.n
+        self.seen: list[dict[int, int]] = [{} for _ in range(g.n)]
+
+    def assign(self, v: int, c: int) -> None:
+        self.color[v] = c
+        for u in self.adjacency[v]:
+            seen = self.seen[u]
+            seen[c] = seen.get(c, 0) + 1
+
+    def unassign(self, v: int) -> None:
+        c, self.color[v] = self.color[v], 0
+        for u in self.adjacency[v]:
+            seen = self.seen[u]
+            if seen[c] == 1:
+                del seen[c]
+            else:
+                seen[c] -= 1
+
+    def pick(self) -> int:
+        """The uncolored vertex of largest saturation, then highest degree, then smallest id."""
+        color, seen, degree = self.color, self.seen, self.degree
+        return max((v for v in range(len(color)) if not color[v]),
+                   key=lambda v: (len(seen[v]), degree[v], -v))
+
+
 def greedy_upper_bound(g: Graph) -> tuple[int, Coloring]:
-    """Largest-degree-first greedy coloring; returns (color count, coloring)."""
+    """DSATUR coloring (Brelaz, 1979); returns (color count, coloring).
+
+    Colors the vertex `Saturation.pick` names, each with the smallest color
+    not taken next to it, until all are colored.
+    """
     if g.n < 1:
         raise ValueError("greedy_upper_bound needs at least one vertex")
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    colors = [0] * g.n
-    for v in order:
-        used = {colors[u] for u in g.adjacency[v] if colors[u]}
+    state = Saturation(g)
+    for _ in range(g.n):
+        v = state.pick()
+        taken = state.seen[v]
         c = 1
-        while c in used:
+        while c in taken:
             c += 1
-        colors[v] = c
-    coloring = Coloring(tuple(colors))
+        state.assign(v, c)
+    coloring = Coloring(tuple(state.color))
     return coloring.num_colors, coloring
+
+
+def tabucol(g: Graph, start: Coloring, k: int, rng: random.Random) -> Coloring | None:
+    """Look for a proper k-coloring by tabu search (Hertz and de Werra, 1987).
+
+    The start coloring's classes are renumbered 1..H in color order and every
+    vertex above k moves, in id order, to its least conflicting color (ties
+    to the smallest). Each of at most `TABUCOL_ITERATIONS` steps then moves
+    one vertex that has a conflict to another color, taking the move that
+    lowers the conflict count most (ties drawn from `rng`). Moving v off color
+    c bars it from c for `randrange(10) + floor(0.6 * conflicting vertices)`
+    steps (Galinier and Hao, 1999), unless the move beats the best count seen.
+    `gamma[v][c]`, the number of v's neighbours colored c, is kept in O(deg)
+    per move. Returns None when the budget runs out with conflicts left.
+    """
+    adjacency = g.adjacency
+    rank = {c: i for i, c in enumerate(sorted(set(start.colors)), start=1)}
+    color = [rank[c] for c in start.colors]
+    gamma = [[0] * (len(rank) + 1) for _ in range(g.n)]
+    for v in range(g.n):
+        for u in adjacency[v]:
+            gamma[u][color[v]] += 1
+
+    def move(v: int, c: int) -> None:
+        old, color[v] = color[v], c
+        for u in adjacency[v]:
+            row = gamma[u]
+            row[old] -= 1
+            row[c] += 1
+
+    for v in range(g.n):
+        if color[v] > k:
+            move(v, min(range(1, k + 1), key=gamma[v].__getitem__))
+
+    conflicts = sum(gamma[v][color[v]] for v in range(g.n)) // 2
+    best = conflicts
+    tabu = [[0] * (k + 1) for _ in range(g.n)]
+    for step in range(TABUCOL_ITERATIONS):
+        if not conflicts:
+            break
+        conflicting = [v for v in range(g.n) if gamma[v][color[v]]]
+        best_delta, moves = g.n, []
+        for v in conflicting:
+            row, barred, own = gamma[v], tabu[v], color[v]
+            here = row[own]
+            for c in range(1, k + 1):
+                delta = row[c] - here
+                if (c == own or delta > best_delta
+                        or (barred[c] > step and conflicts + delta >= best)):
+                    continue
+                if delta < best_delta:
+                    best_delta, moves = delta, []
+                moves.append((v, c))
+        if not moves:
+            continue
+        v, c = rng.choice(moves)
+        tabu[v][color[v]] = (step + rng.randrange(TABU_TENURE_SPREAD)
+                             + int(TABU_TENURE_PER_CONFLICT * len(conflicting)))
+        move(v, c)
+        conflicts += best_delta
+        best = min(best, conflicts)
+    return None if conflicts else Coloring(tuple(color))
 
 
 def _grow_clique(adjacency, rng: random.Random) -> list[int]:
@@ -237,21 +349,33 @@ def find_clique(g: Graph, upper_bound: int, mode: str, seed: int,
 
 def preprocess_pipeline(g: Graph, mode: str = "e", seed: int = 0,
                         clique_time_budget: float = DEFAULT_CLIQUE_TIME_BUDGET) -> PreprocessedInstance:
-    """Full reduction: dominance removal, greedy bound, clique search, early exit.
+    """Full reduction: dominance removal, upper bound, clique search, early exit.
+
+    The DSATUR bound H scores the clique search. TabuCol then tries k = H - 1
+    down to the clique size, each from the best coloring so far, on the
+    stream `random.Random(f"tabucol:{seed}")`, and stops at the first k it
+    cannot reach; `upper_bound` and `greedy_coloring` are the best coloring
+    found.
 
     The anchor vertex is the clique member with the largest degree in the
     reduced graph (ties to the smallest id); it is the vertex the
     partial-ordering models pin to the largest used color.
     """
     reduced = remove_dominated(g)
-    upper_bound, greedy = greedy_upper_bound(reduced.graph)
+    upper_bound, coloring = greedy_upper_bound(reduced.graph)
     clique = find_clique(reduced.graph, upper_bound, mode, seed, time_budget=clique_time_budget)
+    rng = random.Random(f"tabucol:{seed}")
+    while upper_bound > len(clique):
+        fewer = tabucol(reduced.graph, coloring, upper_bound - 1, rng)
+        if fewer is None:
+            break
+        upper_bound, coloring = fewer.num_colors, fewer
     anchor = max(clique, key=lambda v: (reduced.graph.degree(v), -v))
     lower_bound = len(clique)
     return PreprocessedInstance(
         reduced=reduced,
         upper_bound=upper_bound,
-        greedy_coloring=greedy,
+        greedy_coloring=coloring,
         clique=clique,
         anchor=anchor,
         lower_bound=lower_bound,

@@ -262,22 +262,22 @@ def _captured_milp_arrays(monkeypatch, model):
 # SHA-256 of the emitted LP bytes and of the HiGHS arrays, each over all of
 # GOLDEN_GRAPHS in order, per (formulation, clique fixings).
 GOLDEN_MODEL_DIGESTS = {
-    ('ass-s', False): ("8801d575c1efbe898354fa0b472963d490230fbd6bdeb998c783e516c0465855",
-                     "4766495ce4226b1efaee9d38c93e791fa3698d9dda857f793451594949b88cb4"),
-    ('ass-s', True): ("2fad47070e3b7dcdad282e8459c8bbac8bd30e8e32a9fc7602059c4dc8a34bc6",
-                    "6288761a7c76fd6b32f2e7fef102cce926df834dff0fe209b0b7b9b4fc1af5ad"),
-    ('ass', False): ("2606a77f8ff9862eff9746039e1e5c2bc90cf5ca25a9667f9f4c6e164e7deccd",
-                   "3da8bd24c65c3ad8f1f7475a78bb747860a3650a1d4841c4e232467c011f499a"),
-    ('ass', True): ("5192218c73119a9e1abecc1d51ea97fde59150cba419a297f8e6872bcfb9b718",
-                  "ea207db0bcfb2a77a9dfbc741e8865a9032c7423be16d7034c4e776980357bea"),
-    ('pop', False): ("47b8727a63f83bc7a0dafd22b7fe641c69a703f49527e269fc3f7e5b00770d10",
-                   "d5c2fe2a405fc7e0c7534bc477ee2dec04b1716cc4ce47cc9b543749a5de9462"),
-    ('pop', True): ("9f059f38d5adfae13e7a7b3f343111486bcbbd7640da8c3bffa01c3e6580cf51",
-                  "49290cb4ca2c13a665b21406737da9bdf69a9830f083ffdfa787f7422e1aca38"),
-    ('pop2', False): ("3d42125ff04d249f7e567b49792cd9bfc241062b5b4794ce7ccc33e71b641334",
-                    "62d985155882e7ea29ed6f12edce7e17962388f2d2feb97a325df61d692e82a1"),
-    ('pop2', True): ("e79ce3df5e5c5bdcfe74e277c86bd23f4b4f63d0ea3dec8f3b0eb04f5e1c17dc",
-                   "25c505490bab634afc955c00f5888232e566617c76e18b21f324e16a16f27196"),
+    ('ass-s', False): ("1bcebd59dc0844efaec3a979fa168dd557fb69487c31f4f591841f848f81b34a",
+                     "fb9b63a6ab5d34a49f036888ba4ea2d9e2da451b12be2e3559ecda68e64ad615"),
+    ('ass-s', True): ("57a09f5200c1f74386df2ecff418a4ae427ada552d7f24ea22c50f25bbd5eff2",
+                    "b91e03bff313d2df2fa8631d6fb23116a1907048e483f1639611e6f321537fab"),
+    ('ass', False): ("91b0a52ee19739105460c6527a2348955326cd64c709078d20f21fffeb302400",
+                   "8ec92b74c9cfc103aed441b30ce686565a45d6b03f9662666521e277889904a4"),
+    ('ass', True): ("ccfe591f58829056c7c08dcf4e4b4aed1c3ba45e3990cc821770a08d1b4f0b0c",
+                  "770bdd32b9cce667283efaaca09ae9cc87a26ee69a395fba5845e56ea518044e"),
+    ('pop', False): ("776232bbd5fbc79d6ac9ea5f4b584a9df303b0edcf5aca6544342943cfff846f",
+                   "31fea088f486312c67f4054a84506220600e2b5d9b37332c98b0fcbfe6807758"),
+    ('pop', True): ("df68265924ebb949ddbde2114a9ef964ee17000f216910e66f89bd7462167b82",
+                  "e6500f853d0885bb67e32f1dc30577bed8cd8922bb5b8f1a95bc39235fa40133"),
+    ('pop2', False): ("b9babcad30e04b42d222301e07411a0a90ffbd690119a9ef69188c63849c642a",
+                    "ab228e4f548fbbed22490729fb90bc39211ee8c57600afe3c019c6952f9bd751"),
+    ('pop2', True): ("dad64d5cd363c94183d27868010fd0dea12a83a7e6928bc56b91358fab3839c2",
+                   "476e5ee07b171b72f94530a003c033a05a2903251d3ff15b5f4c25c2146edf74"),
     ('rep', False): ("f3326c33038e12c2c6d79bdc86cfb04ef95f297cf4c47302fdfa80cc142374dc",
                    "7edeb95c23bb2704e7486af246f7ce7cba3abc28aecce38276e9ee130ccfbe65"),
     ('rep', True): ("a71e1fc374943ac9236bc4673785ab34fc78d49242586aedeaf52d34dfa1b3cc",

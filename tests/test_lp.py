@@ -104,11 +104,15 @@ class TestParseBack:
         " z free\n x = 1\nEnd\n",
         "Minimize\n obj: x + y + z\nSubject To\n c: x + y + z >= 1\nBounds\n x >= 2\n y <= 3\n"
         " -inf <= z <= 4\nEnd\n",
-    ], ids=["maximize-bounded-continuous", "free-and-fixed-no-binaries", "one-sided"])
+        "Minimize\n obj: 0 x + y\nSubject To\n c: 0 x + y >= 1\nEnd\n",
+    ], ids=["maximize-bounded-continuous", "free-and-fixed-no-binaries", "one-sided",
+            "leading-zero-coefficient"])
     def test_parsed_model_round_trip(self, text):
         def content(m):
-            return (m.kind, m.variables, m.objective, m.offset, m.bounds, m.num_binary,
-                    m.minimize, [(c.name, c.terms, c.sense, c.rhs) for c in m.constraints])
+            # repr, unlike ==, tells -0.0 from 0.0
+            return repr((m.kind, m.variables, m.objective, m.offset, sorted(m.bounds.items()),
+                         m.num_binary, m.minimize,
+                         [(c.name, c.terms, c.sense, c.rhs) for c in m.constraints]))
 
         parsed = parse_lp(text)
         assert content(parse_lp(emit_lp(parsed))) == content(parsed)

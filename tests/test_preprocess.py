@@ -11,7 +11,7 @@ from chromatic.preprocess import (NotACliqueError, ReducedInstance, boundary_edg
                                   clique_objective, find_clique,
                                   greedy_upper_bound, preprocess_pipeline,
                                   random_maximal_clique, remove_dominated,
-                                  restore_coloring)
+                                  restore_coloring, tabucol)
 
 
 class TestRemoveDominated:
@@ -103,7 +103,7 @@ class TestGreedyUpperBound:
         assert greedy_upper_bound(families.complete(5))[0] == 5
 
     def test_even_cycle(self):
-        # all degrees equal, so the order is 0..5 and colors alternate 1,2
+        # all degrees equal, so saturation and then id walk the cycle 0..5
         upper, coloring = greedy_upper_bound(families.cycle(6))
         assert upper == 2
         assert coloring.colors == (1, 2, 1, 2, 1, 2)
@@ -114,6 +114,28 @@ class TestGreedyUpperBound:
             upper, coloring = greedy_upper_bound(g)
             report = verify_coloring(g, coloring)
             assert report.valid and report.colors_used == upper <= g.n
+
+    def test_crown_graph_takes_two_colors(self):
+        # u_i = 2i, v_i = 2i + 1, u_i joined to v_j for i != j: coloring by
+        # degree and then id needs one color per pair, saturation needs two
+        g = Graph.from_edges(12, [(2 * i, 2 * j + 1) for i in range(6) for j in range(6)
+                                  if i != j])
+        upper, coloring = greedy_upper_bound(g)
+        assert upper == 2 and verify_coloring(g, coloring).valid
+        inst = preprocess_pipeline(g, clique_time_budget=1)
+        assert inst.solved_in_preprocessing and inst.upper_bound == 2
+
+
+class TestTabucol:
+    def test_no_coloring_below_the_clique(self):
+        g = families.complete(5)
+        _, start = greedy_upper_bound(g)
+        assert tabucol(g, start, 4, random.Random(0)) is None
+
+    def test_reaches_chi_from_a_loose_start(self):
+        g = families.cycle(6)
+        found = tabucol(g, Coloring((1, 2, 3, 4, 5, 6)), 2, random.Random(0))
+        assert found is not None and verify_coloring(g, found).colors_used == 2
 
 
 class TestRandomMaximalClique:
@@ -207,8 +229,8 @@ class TestFindClique:
 
 
 @st.composite
-def small_graphs(draw):
-    n = draw(st.integers(1, 14))
+def small_graphs(draw, max_n=14):
+    n = draw(st.integers(1, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph.from_edges(n, [e for e, kept in zip(pairs, keep) if kept])
@@ -276,6 +298,17 @@ class TestPipeline:
             chi = chromatic_number_exact(g).chi
             assert inst.lower_bound <= chi <= inst.upper_bound
 
+    @given(small_graphs(max_n=12), st.integers(0, 10_000))
+    def test_upper_bound_is_a_coloring_and_repeats(self, g, seed):
+        inst = preprocess_pipeline(g, seed=seed, clique_time_budget=5)
+        report = verify_coloring(inst.reduced.graph, inst.greedy_coloring)
+        assert report.valid and report.colors_used == inst.upper_bound
+        assert inst.lower_bound <= chromatic_number_exact(g).chi <= inst.upper_bound
+        assert inst.solved_in_preprocessing == (inst.lower_bound == inst.upper_bound)
+        again = preprocess_pipeline(g, seed=seed, clique_time_budget=5)
+        assert (again.upper_bound, again.greedy_coloring) == (inst.upper_bound,
+                                                              inst.greedy_coloring)
+
     def test_anchor_in_clique(self):
         for seed in range(8):
             g = gnp_random(12, 0.5, seed)
@@ -301,20 +334,20 @@ GOLDEN_GRAPHS = {
 # name: (mode-c clique, mode-e clique, pipeline (clique, anchor, lb, ub))
 GOLDEN_CLIQUES = {
     "gnp45_0.5_s0": ((4, 6, 7, 17, 25, 39, 41), (2, 7, 10, 22, 29, 36, 39),
-                     ((2, 7, 10, 22, 29, 36, 39), 39, 7, 12)),
+                     ((2, 7, 10, 22, 29, 36, 39), 39, 7, 9)),
     "gnp40_0.5_s1": ((7, 16, 19, 29, 33, 34, 35), (7, 16, 19, 29, 33, 34, 35),
-                     ((7, 16, 19, 29, 33, 34, 35), 16, 7, 11)),
+                     ((7, 16, 19, 29, 33, 34, 35), 16, 7, 9)),
     "gnp35_0.5_s2": ((5, 10, 13, 17, 23, 28), (5, 10, 13, 17, 23, 28),
-                     ((5, 10, 13, 17, 23, 28), 17, 6, 8)),
+                     ((5, 10, 13, 17, 23, 28), 17, 6, 7)),
     "gnp35_0.7_s0": ((0, 3, 8, 9, 11, 16, 28, 29, 33, 34), (0, 3, 8, 9, 11, 12, 16, 28, 33, 34),
-                     ((0, 3, 8, 9, 11, 16, 27, 29, 33, 34), 0, 10, 13)),
+                     ((0, 3, 8, 9, 11, 16, 27, 29, 33, 34), 0, 10, 11)),
     "gnp30_0.7_s1": ((0, 1, 6, 7, 12, 16, 17, 23, 25), (0, 1, 6, 7, 11, 16, 17, 23, 25),
-                     ((0, 1, 6, 7, 11, 16, 17, 23, 25), 7, 9, 12)),
+                     ((0, 1, 6, 7, 11, 16, 17, 23, 25), 7, 9, 10)),
     "gnp25_0.7_s2": ((1, 6, 7, 8, 12, 20, 21, 24), (3, 4, 6, 7, 12, 14, 21, 24),
                      ((3, 4, 6, 7, 12, 14, 21, 24), 6, 8, 8)),
     "gnp30_0.9_s0": ((1, 2, 4, 7, 12, 14, 15, 16, 19, 20, 21, 22, 24, 26, 27),
                      (0, 1, 2, 4, 7, 8, 12, 14, 15, 16, 19, 24, 26, 27, 28),
-                     ((0, 1, 2, 4, 7, 8, 11, 13, 14, 15, 18, 23, 25, 26, 27), 1, 15, 17)),
+                     ((0, 1, 2, 4, 7, 8, 11, 13, 14, 15, 18, 23, 25, 26, 27), 1, 15, 15)),
     "gnp25_0.9_s1": ((0, 1, 2, 5, 7, 8, 9, 11, 12, 16, 17, 18, 20, 21, 23),
                      (0, 1, 2, 5, 7, 8, 9, 11, 12, 16, 17, 18, 20, 21, 23),
                      ((0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14), 0, 15, 15)),
