@@ -1,10 +1,13 @@
 """Benchmark harness: per-instance runs, random instance sets, CSV tables.
 
-A run of one instance preprocesses once, then for each requested
-formulation builds the model, applies the clique fixings, solves, lifts the
-solution back through the dominance stack and verifies it. When the clique
-already meets the upper bound the instance is settled in preprocessing and
-no MILP is solved at all.
+A run of one instance preprocesses once, then answers each requested
+formulation. When the clique meets the upper bound H the instance is settled
+in preprocessing and no MILP is solved: every formulation gets lb = ub = H,
+status `optimal`, the preprocessing time as its `time`, and the preprocessing
+coloring. Otherwise the formulation is built, given the clique fixings and
+solved, and its coloring is extracted. Either coloring is lifted back through
+the dominance stack and verified against the original graph; a failure there
+becomes an error row like any other.
 
 CSV rows follow the benchmark-table convention: instance, sizes, optional
 hardness class (carried from a manifest, never computed), formulation,
@@ -12,11 +15,11 @@ clique mode, bounds, time, status, seed. Times are wall-clock seconds of
 the `backend.solve` call: stacking the model's row blocks into the sparse
 matrix and HiGHS for `builtin`, plus the LP file, the solver process and
 its solution file for subprocess adapters. Preprocessing time is its own
-column. A model run that raises, or an instance file that cannot be read,
-becomes a row with status `error:<ExceptionType>`; the record keeps
-`Type: message` in `error`, which is not a CSV column. Summary rows
-(per density and formulation: mean time over solved instances, number of
-unsolved) go to a separate `.summary.csv`.
+column, and also the `time` of a settled row. A model run that raises, or
+an instance file that cannot be read, becomes a row with status
+`error:<ExceptionType>`; the record keeps `Type: message` in `error`, which
+is not a CSV column. Summary rows (per density and formulation: mean time
+over solved instances, number of unsolved) go to a separate `.summary.csv`.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .backend import SolveStatus, load_adapter, solve
+from .backend import SolveResult, SolveStatus, load_adapter, solve
 from .graph import (Coloring, ColoringError, Graph, gnp_random, parse_dimacs, verify_coloring,
                     write_dimacs)
 from .models import apply_clique_fixings, build_formulation, extract_coloring
@@ -96,13 +99,20 @@ class InstanceOutcome:
     colorings: dict[str, Coloring] = field(default_factory=dict)
 
 
-def _error_record(name: str, n: int, m: int, model_name: str, cfg: RunConfig,
-                  exc: Exception, prep_time: float, hardness_class: str) -> BenchmarkRecord:
-    return BenchmarkRecord(
-        instance=name, n=n, m=m, model=model_name, clique_mode=cfg.clique_mode,
-        lb=None, ub=None, time=0.0, status=f"{SolveStatus.ERROR.value}:{type(exc).__name__}",
-        seed=cfg.seed, prep_time=prep_time, hardness_class=hardness_class,
-        error=f"{type(exc).__name__}: {exc}")
+def _record(name: str, n: int, m: int, model_name: str, cfg: RunConfig, prep_time: float,
+            hardness_class: str, result: SolveResult | Exception) -> BenchmarkRecord:
+    """One formulation's row: the bounds, time and status of its result, or
+    the exception that ended its run as status `error:<Type>` with no bounds."""
+    if isinstance(result, Exception):
+        answer = dict(lb=None, ub=None, time=0.0,
+                      status=f"{SolveStatus.ERROR.value}:{type(result).__name__}",
+                      error=f"{type(result).__name__}: {result}")
+    else:
+        answer = dict(lb=result.lower_bound, ub=result.upper_bound, time=result.wall_time,
+                      status=result.status.value)
+    return BenchmarkRecord(instance=name, n=n, m=m, model=model_name,
+                           clique_mode=cfg.clique_mode, seed=cfg.seed, prep_time=prep_time,
+                           hardness_class=hardness_class, **answer)
 
 
 def solve_instance(g: Graph, name: str, cfg: RunConfig,
@@ -116,47 +126,29 @@ def solve_instance(g: Graph, name: str, cfg: RunConfig,
     prep_time = time.monotonic() - started
     outcome = InstanceOutcome(records=[], preprocessed=inst, prep_time=prep_time)
 
-    if inst.solved_in_preprocessing:
-        restored = restore_coloring(inst.reduced, inst.greedy_coloring)
-        report = verify_coloring(g, restored)
-        if not report.valid:
-            raise ColoringError(
-                f"upper-bound coloring violates edges {report.violating_edges[:3]}")
-        bound = inst.upper_bound
-        for model_name in cfg.models:
-            outcome.records.append(BenchmarkRecord(
-                instance=name, n=g.n, m=g.m, model=model_name,
-                clique_mode=cfg.clique_mode, lb=bound, ub=bound,
-                time=prep_time, status=SolveStatus.OPTIMAL.value,
-                seed=cfg.seed, prep_time=prep_time,
-                hardness_class=hardness_class))
-            outcome.colorings[model_name] = restored
-        return outcome
-
     for model_name in cfg.models:
         try:
-            model = build_formulation(model_name, inst)
-            model = apply_clique_fixings(model, inst)
-            workdir = (lp_dir / f"{name}.{model_name}") if lp_dir else None
-            result = solve(model, adapter=adapter, time_limit=cfg.time_limit,
-                           seed=cfg.seed, workdir=workdir)
-            if result.values is not None:
-                reduced_coloring = extract_coloring(model, result.values)
+            if inst.solved_in_preprocessing:
+                result = SolveResult(SolveStatus.OPTIMAL, inst.upper_bound, inst.upper_bound,
+                                     values=None, wall_time=prep_time)
+                reduced_coloring = inst.greedy_coloring
+            else:
+                model = apply_clique_fixings(build_formulation(model_name, inst), inst)
+                workdir = (lp_dir / f"{name}.{model_name}") if lp_dir else None
+                result = solve(model, adapter=adapter, time_limit=cfg.time_limit,
+                               seed=cfg.seed, workdir=workdir)
+                reduced_coloring = (None if result.values is None
+                                    else extract_coloring(model, result.values))
+            if reduced_coloring is not None:
                 restored = restore_coloring(inst.reduced, reduced_coloring)
                 report = verify_coloring(g, restored)
                 if not report.valid:
-                    raise ColoringError(
-                        f"solver coloring violates edges {report.violating_edges[:3]}")
+                    raise ColoringError(f"coloring violates edges {report.violating_edges[:3]}")
                 outcome.colorings[model_name] = restored
-            outcome.records.append(BenchmarkRecord(
-                instance=name, n=g.n, m=g.m, model=model_name,
-                clique_mode=cfg.clique_mode, lb=result.lower_bound,
-                ub=result.upper_bound, time=result.wall_time,
-                status=result.status.value, seed=cfg.seed,
-                prep_time=prep_time, hardness_class=hardness_class))
         except Exception as exc:  # noqa: BLE001 - a failed model run becomes an error row
-            outcome.records.append(_error_record(name, g.n, g.m, model_name, cfg, exc,
-                                                 prep_time, hardness_class))
+            result = exc
+        outcome.records.append(_record(name, g.n, g.m, model_name, cfg, prep_time,
+                                       hardness_class, result))
     return outcome
 
 
@@ -240,7 +232,7 @@ def _bench_one(args) -> list[BenchmarkRecord]:
     try:
         g = parse_dimacs(Path(path_text).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
-        return [_error_record(name, 0, 0, model_name, cfg, exc, 0.0, hardness_class)
+        return [_record(name, 0, 0, model_name, cfg, 0.0, hardness_class, exc)
                 for model_name in cfg.models]
     return solve_instance(g, name, cfg, hardness_class=hardness_class).records
 

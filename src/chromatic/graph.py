@@ -55,9 +55,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> frozenset[int]:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -90,24 +87,20 @@ class VerifyReport:
     colors_used: int
 
 
-def parse_dimacs(text: str | Iterable[str]) -> Graph:
+def parse_dimacs(text: str) -> Graph:
     """Parse a DIMACS .col character stream into a Graph.
 
     Accepts `c` comment lines, exactly one `p edge n m` (or `p col n m`)
     problem line and `e u v` edge lines with 1-based vertex ids. Duplicate
     and reversed edge records collapse to one undirected edge; the number
-    of edge records must match the declared m. Self-loops are rejected.
+    of edge records must match the declared m. Self-loops and a problem
+    line that declares no vertices are rejected.
     """
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in text]
-
     n = None
     declared_m = 0
     records = 0
     raw_edges: list[tuple[int, int]] = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
             continue
@@ -125,6 +118,8 @@ def parse_dimacs(text: str | Iterable[str]) -> Graph:
                 raise DimacsError(f"line {lineno}: malformed problem line {stripped!r}") from None
             if n < 0 or declared_m < 0:
                 raise DimacsError(f"line {lineno}: negative counts in problem line")
+            if n == 0:
+                raise DimacsError(f"line {lineno}: problem line declares no vertices")
         elif kind == "e":
             if n is None:
                 raise DimacsError(f"line {lineno}: edge before problem line")

@@ -253,7 +253,7 @@ def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _meta(g: Graph, upper_bound=None, anchor=None, clique=()):
-    return {"graph": g, "n": g.n, "upper_bound": upper_bound,
+    return {"graph": g, "upper_bound": upper_bound,
             "anchor": anchor, "clique": tuple(clique)}
 
 

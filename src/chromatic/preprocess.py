@@ -50,15 +50,26 @@ class ReducedInstance:
 
 @dataclass(frozen=True)
 class PreprocessedInstance:
-    """Everything the model builders need. Vertex ids are reduced-graph ids."""
+    """Everything the model builders need. Vertex ids are reduced-graph ids.
+
+    `greedy_coloring` is the best coloring preprocessing found (DSATUR, then
+    TabuCol) and uses `upper_bound` colors. `lower_bound` and
+    `solved_in_preprocessing` are derived from `clique` and `upper_bound`.
+    """
 
     reduced: ReducedInstance
     upper_bound: int
     greedy_coloring: Coloring
     clique: tuple[int, ...]
     anchor: int
-    lower_bound: int
-    solved_in_preprocessing: bool
+
+    @property
+    def lower_bound(self) -> int:
+        return len(self.clique)
+
+    @property
+    def solved_in_preprocessing(self) -> bool:
+        return self.lower_bound == self.upper_bound
 
 
 def remove_dominated(g: Graph) -> ReducedInstance:
@@ -371,13 +382,5 @@ def preprocess_pipeline(g: Graph, mode: str = "e", seed: int = 0,
             break
         upper_bound, coloring = fewer.num_colors, fewer
     anchor = max(clique, key=lambda v: (reduced.graph.degree(v), -v))
-    lower_bound = len(clique)
-    return PreprocessedInstance(
-        reduced=reduced,
-        upper_bound=upper_bound,
-        greedy_coloring=coloring,
-        clique=clique,
-        anchor=anchor,
-        lower_bound=lower_bound,
-        solved_in_preprocessing=(lower_bound == upper_bound),
-    )
+    return PreprocessedInstance(reduced=reduced, upper_bound=upper_bound,
+                                greedy_coloring=coloring, clique=clique, anchor=anchor)

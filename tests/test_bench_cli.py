@@ -1,14 +1,16 @@
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from chromatic import bench, cli, families
-from chromatic.bench import (BenchmarkRecord, RunConfig, generate_set,
+from chromatic.bench import (BenchmarkRecord, ManifestRow, RunConfig, generate_set,
                              read_manifest, records_csv, run_bench,
                              solve_instance, strip_time_columns, summarize,
                              summary_csv)
-from chromatic.graph import Coloring, ColoringError, parse_dimacs, write_dimacs
+from chromatic.graph import (Coloring, ColoringError, parse_dimacs, verify_coloring,
+                             write_dimacs)
 from chromatic.models import ModelError
 from chromatic.oracle import chromatic_number_exact
 
@@ -48,6 +50,24 @@ class TestSolveInstance:
         for record in outcome.records:
             assert record.lb == record.ub == 2
             assert record.status == "optimal"
+            assert record.time == outcome.prep_time
+        assert set(outcome.colorings) == {"pop", "rep"}
+        for coloring in outcome.colorings.values():
+            assert verify_coloring(g, coloring).valid
+
+    def test_settled_coloring_that_fails_verification_becomes_error_rows(self, monkeypatch):
+        # K3 settles in preprocessing; an improper upper-bound coloring must
+        # give each formulation an error row, not stop the run
+        real = bench.preprocess_pipeline
+        monkeypatch.setattr(bench, "preprocess_pipeline", lambda g, **kw: replace(
+            real(g, **kw), greedy_coloring=Coloring((1, 1, 1))))
+        outcome = solve_instance(families.complete(3), "k3",
+                                 RunConfig(models=("pop", "rep"), clique_time_budget=0.5))
+        assert outcome.preprocessed.solved_in_preprocessing
+        assert [r.status for r in outcome.records] == ["error:ColoringError"] * 2
+        assert all(r.error.startswith("ColoringError: coloring of reduced graph is invalid")
+                   for r in outcome.records)
+        assert outcome.colorings == {}
 
     def test_full_solve_path(self):
         g = families.cycle(5)
@@ -164,6 +184,17 @@ class TestBenchAndSummary:
         assert len(records) == 2
         assert records[0].status.startswith("error")
         assert records[1].status == "optimal"
+
+    def test_sweep_continues_past_graph_with_no_vertices(self, tmp_path):
+        (tmp_path / "empty.col").write_text("p edge 0 0\n")
+        (tmp_path / "k3.col").write_text(write_dimacs(families.complete(3)))
+        manifest = [ManifestRow(file="empty.col", name="empty", n=0, m=0, p=0.0, seed=0),
+                    ManifestRow(file="k3.col", name="k3", n=3, m=3, p=1.0, seed=0)]
+        cfg = RunConfig(models=("pop",), time_limit=30, clique_time_budget=0.5)
+        records = run_bench(manifest, tmp_path, cfg)
+        assert [(r.instance, r.status) for r in records] == [
+            ("empty", "error:DimacsError"), ("k3", "optimal")]
+        assert records[0].error == "DimacsError: line 1: problem line declares no vertices"
 
     def test_timed_out_counts_as_unsolved(self):
         base = BenchmarkRecord(instance="x", n=5, m=5, model="pop", clique_mode="e",

@@ -83,6 +83,10 @@ class TestParseDimacs:
         with pytest.raises(DimacsError, match="line 2: unrecognized"):
             parse_dimacs("p edge 2 1\nq 1 2")
 
+    def test_no_vertices_rejected(self):
+        with pytest.raises(DimacsError, match="line 2: problem line declares no vertices"):
+            parse_dimacs("c empty\np edge 0 0\n")
+
     def test_record_count_mismatch(self):
         with pytest.raises(DimacsError, match="declared 2 edges but found 1"):
             parse_dimacs("p edge 3 2\ne 1 2")

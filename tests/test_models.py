@@ -23,9 +23,7 @@ def instance_for(g: Graph, clique, anchor) -> PreprocessedInstance:
     upper, greedy = greedy_upper_bound(g)
     return PreprocessedInstance(
         reduced=remove_dominated_identity(g), upper_bound=upper,
-        greedy_coloring=greedy, clique=tuple(sorted(clique)), anchor=anchor,
-        lower_bound=len(clique),
-        solved_in_preprocessing=len(clique) == upper)
+        greedy_coloring=greedy, clique=tuple(sorted(clique)), anchor=anchor)
 
 
 def remove_dominated_identity(g: Graph):
