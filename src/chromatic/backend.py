@@ -11,10 +11,14 @@ Two adapter styles solve a model:
                     placeholders, reading its output through a per-dialect
                     regex table ("chromatic", "cbc", "gurobi", "glpsol")
 
-Raw solver numbers are normalized once, here: the model's constant offset
-is re-applied, dual bounds are rounded up to integers (every formulation
-has an integral objective), and a time limit with an incumbent maps to
-status "feasible".
+Every status is a `SolveStatus` member, from the adapter's report to the
+CSV row. Raw solver numbers are normalized once, in `solve`: the model's
+constant offset is re-applied, dual bounds are rounded up to integers
+(every formulation has an integral objective), and one incumbent rule
+covers every adapter: a report with no values that says `optimal` is an
+`error`, and one that says `feasible` is `timeout_no_solution`. A
+`CommandAdapter` that finds no status in the solver's output reports
+`timeout_no_solution` only when it killed the child, else `error`.
 """
 from __future__ import annotations
 
@@ -28,25 +32,15 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 from . import lpsolve
 from .lp import _NAME, _NUM, emit_lp
-from .lpsolve import RawSolve
+from .lpsolve import RawSolve, SolveStatus
 from .models import VALUE_TOLERANCE, ExtractionError, MilpModel, binary_value, objective_value
 
 KILL_GRACE_SECONDS = 10.0
 ENV_SOLVER_OVERRIDE = "CHROMATIC_SOLVER"
-
-
-class SolveStatus(str, Enum):
-    OPTIMAL = "optimal"
-    FEASIBLE = "feasible"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
-    TIMEOUT_NO_SOLUTION = "timeout_no_solution"
-    ERROR = "error"
 
 
 class SolverNotFoundError(RuntimeError):
@@ -80,7 +74,7 @@ class Dialect:
     """Regex table describing one solver's solution/log text."""
 
     name: str
-    status_patterns: tuple[tuple[str, str], ...]
+    status_patterns: tuple[tuple[str, SolveStatus], ...]
     objective_pattern: str | None
     bound_pattern: str | None
     var_pattern: str
@@ -90,8 +84,8 @@ class Dialect:
 DIALECTS: dict[str, Dialect] = {
     "chromatic": Dialect(
         name="chromatic",
-        status_patterns=tuple((rf"^status\s+({word})\s*$", word)
-                              for word in lpsolve.STATUS_WORDS),
+        status_patterns=tuple((rf"^status\s+({status.value})\s*$", status)
+                              for status in SolveStatus),
         objective_pattern=rf"^objective\s+({_NUM})\s*$",
         bound_pattern=rf"^bound\s+({_NUM}|-inf)\s*$",
         var_pattern=rf"^v\s+({_NAME})\s+({_NUM})\s*$",
@@ -100,11 +94,11 @@ DIALECTS: dict[str, Dialect] = {
     "cbc": Dialect(
         name="cbc",
         status_patterns=(
-            (r"^Optimal", "optimal"),
-            (r"^Stopped on time", "feasible"),
-            (r"^Infeasible", "infeasible"),
-            (r"^Integer infeasible", "infeasible"),
-            (r"^Unbounded", "unbounded"),
+            (r"^Optimal", SolveStatus.OPTIMAL),
+            (r"^Stopped on time", SolveStatus.FEASIBLE),
+            (r"^Infeasible", SolveStatus.INFEASIBLE),
+            (r"^Integer infeasible", SolveStatus.INFEASIBLE),
+            (r"^Unbounded", SolveStatus.UNBOUNDED),
         ),
         objective_pattern=rf"objective value\s+({_NUM})",
         bound_pattern=None,
@@ -113,10 +107,10 @@ DIALECTS: dict[str, Dialect] = {
     "gurobi": Dialect(
         name="gurobi",
         status_patterns=(
-            (r"Optimal solution found", "optimal"),
-            (r"Time limit reached", "feasible"),
-            (r"Model is infeasible", "infeasible"),
-            (r"Model is unbounded", "unbounded"),
+            (r"Optimal solution found", SolveStatus.OPTIMAL),
+            (r"Time limit reached", SolveStatus.FEASIBLE),
+            (r"Model is infeasible", SolveStatus.INFEASIBLE),
+            (r"Model is unbounded", SolveStatus.UNBOUNDED),
         ),
         objective_pattern=rf"^# Objective value\s*=\s*({_NUM})",
         bound_pattern=rf"Best objective {_NUM}, best bound ({_NUM})",
@@ -125,11 +119,11 @@ DIALECTS: dict[str, Dialect] = {
     "glpsol": Dialect(
         name="glpsol",
         status_patterns=(
-            (r"INTEGER OPTIMAL", "optimal"),
-            (r"INTEGER NON-OPTIMAL", "feasible"),
-            (r"INTEGER EMPTY", "infeasible"),
-            (r"HAS NO.*FEASIBLE SOLUTION", "infeasible"),
-            (r"UNBOUNDED", "unbounded"),
+            (r"INTEGER OPTIMAL", SolveStatus.OPTIMAL),
+            (r"INTEGER NON-OPTIMAL", SolveStatus.FEASIBLE),
+            (r"INTEGER EMPTY", SolveStatus.INFEASIBLE),
+            (r"HAS NO.*FEASIBLE SOLUTION", SolveStatus.INFEASIBLE),
+            (r"UNBOUNDED", SolveStatus.UNBOUNDED),
         ),
         objective_pattern=rf"^Objective:\s+\S+\s*=\s*({_NUM})",
         bound_pattern=None,
@@ -146,7 +140,7 @@ def parse_solution(text: str, dialect: str | Dialect) -> RawSolve:
     arbitrary input must never escape as another exception.
     """
     table = DIALECTS[dialect] if isinstance(dialect, str) else dialect
-    status_res = [(re.compile(pat), word) for pat, word in table.status_patterns]
+    status_res = [(re.compile(pat), member) for pat, member in table.status_patterns]
     objective_re = re.compile(table.objective_pattern) if table.objective_pattern else None
     bound_re = re.compile(table.bound_pattern) if table.bound_pattern else None
     var_re = re.compile(table.var_pattern)
@@ -159,9 +153,9 @@ def parse_solution(text: str, dialect: str | Dialect) -> RawSolve:
         if not line.strip() or line.startswith("c ") or line.strip() == "c":
             continue
         matched = False
-        for pattern, word in status_res:
+        for pattern, member in status_res:
             if pattern.search(line):
-                status, matched = word, True
+                status, matched = member, True
                 break
         if objective_re:
             m = objective_re.search(line)
@@ -247,30 +241,26 @@ class CommandAdapter:
             raise SolverNotFoundError(f"solver executable not found: {argv[0]}") from exc
         except subprocess.TimeoutExpired as exc:
             timed_out = True
-            log = (exc.stdout or "") + "\n" + (exc.stderr or "")
+            # what a killed child printed comes as bytes or None, even in text mode
+            log = (b"\n".join(part or b"" for part in (exc.stdout, exc.stderr))
+                   .decode(errors="replace"))
 
         sol_text = solout.read_text(encoding="utf-8") if solout.exists() else ""
         try:
-            parsed = parse_solution(sol_text, self.dialect) if sol_text else \
-                RawSolve(None, None, None, {})
-            if parsed.status_word is None or parsed.objective is None:
+            parsed = parse_solution(sol_text, self.dialect)
+            if parsed.status is None or parsed.objective is None:
                 from_log = parse_solution(log, self.dialect)
                 parsed = RawSolve(
-                    parsed.status_word or from_log.status_word,
+                    parsed.status or from_log.status,
                     parsed.objective if parsed.objective is not None else from_log.objective,
                     parsed.bound if parsed.bound is not None else from_log.bound,
                     parsed.values or from_log.values)
         except SolutionParseError:
-            return RawSolve("error", None, None, None, log=log + "\n" + sol_text)
+            return RawSolve(SolveStatus.ERROR, None, None, None, log=log + "\n" + sol_text)
 
-        status = parsed.status_word
-        if status is None:
-            status = "nosolution" if timed_out else "error"
-        values = parsed.values if parsed.values else None
-        if status in ("optimal", "feasible") and values is None:
-            status = "error"
-        return RawSolve(status_word=status, objective=parsed.objective,
-                        bound=parsed.bound, values=values, log=log)
+        status = parsed.status or (SolveStatus.TIMEOUT_NO_SOLUTION if timed_out
+                                   else SolveStatus.ERROR)
+        return RawSolve(status, parsed.objective, parsed.bound, parsed.values or None, log)
 
 
 def builtin_subprocess_adapter() -> CommandAdapter:
@@ -316,32 +306,27 @@ def load_adapter(spec: str):
         raise SolverNotFoundError(f"unknown adapter {spec!r}: not a built-in name "
                                   f"({', '.join(BUILTIN_ADAPTERS)}) and no such file")
     config = json.loads(path.read_text(encoding="utf-8"))
-    dialect = config.get("dialect", "chromatic")
-    if dialect not in DIALECTS:
-        raise ValueError(f"adapter config {spec}: unknown dialect {dialect!r}")
-    args = config.get("args")
+    if not isinstance(config, dict):
+        raise ValueError(f"adapter config {spec}: expected a JSON object, "
+                         f"got {type(config).__name__}")
+    args = config.get("args", [])
     if isinstance(args, str):
         args = shlex.split(args)
-    return CommandAdapter(
-        executable=config["path"],
-        args=tuple(args or ()),
-        dialect=dialect,
-        name=config.get("name", path.stem),
-    )
+    dialect = config.get("dialect", "chromatic")
+    if not isinstance(config.get("path"), str):
+        fault = 'needs "path", the solver executable, as a string'
+    elif not (isinstance(args, list) and all(isinstance(arg, str) for arg in args)):
+        fault = '"args" must be a list of strings or one string'
+    elif not isinstance(dialect, str) or dialect not in DIALECTS:
+        fault = f"unknown dialect {dialect!r}"
+    else:
+        return CommandAdapter(executable=config["path"], args=tuple(args), dialect=dialect,
+                              name=config.get("name", path.stem))
+    raise ValueError(f"adapter config {spec}: {fault}")
 
 
 # ---------------------------------------------------------------------------
 # the solve entry point
-
-_STATUS_MAP = {
-    "optimal": SolveStatus.OPTIMAL,
-    "feasible": SolveStatus.FEASIBLE,
-    "infeasible": SolveStatus.INFEASIBLE,
-    "unbounded": SolveStatus.UNBOUNDED,
-    "nosolution": SolveStatus.TIMEOUT_NO_SOLUTION,
-    "error": SolveStatus.ERROR,
-}
-
 
 def integral_floor_bound(raw: float) -> int:
     """Round a dual bound up to the integer it actually proves."""
@@ -377,12 +362,15 @@ def solve(model: MilpModel, adapter=None, time_limit: float = 3600.0, seed: int 
         raw = adapter.solve_model(model, None, time_limit, seed, None)
     wall = time.monotonic() - started
 
-    status = _STATUS_MAP.get(raw.status_word, SolveStatus.ERROR)
+    status = raw.status or SolveStatus.ERROR
+    if raw.values is None:
+        status = {SolveStatus.OPTIMAL: SolveStatus.ERROR,
+                  SolveStatus.FEASIBLE: SolveStatus.TIMEOUT_NO_SOLUTION}.get(status, status)
     offset = model.offset
     values = None
     upper = None
     lower = None
-    if raw.values is not None and status in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE):
+    if status in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE):
         try:
             values = {name: binary_value(name, value) for name, value in raw.values.items()}
         except ExtractionError as exc:
@@ -396,8 +384,6 @@ def solve(model: MilpModel, adapter=None, time_limit: float = 3600.0, seed: int 
         lower = upper
     elif raw.bound is not None and math.isfinite(raw.bound):
         lower = integral_floor_bound(raw.bound) + offset
-    if status is SolveStatus.FEASIBLE and values is None:
-        status = SolveStatus.TIMEOUT_NO_SOLUTION
     if lower is not None and upper is not None and lower > upper:
         lower = upper
     return SolveResult(status=status, lower_bound=lower, upper_bound=upper,

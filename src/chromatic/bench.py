@@ -7,7 +7,8 @@ status `optimal`, the preprocessing time as its `time`, and the preprocessing
 coloring. Otherwise the formulation is built, given the clique fixings and
 solved, and its coloring is extracted. Either coloring is lifted back through
 the dominance stack and verified against the original graph; a failure there
-becomes an error row like any other.
+becomes an error row like any other. If preprocessing raises, every
+formulation gets that error row.
 
 CSV rows follow the benchmark-table convention: instance, sizes, optional
 hardness class (carried from a manifest, never computed), formulation,
@@ -94,7 +95,7 @@ class RunConfig:
 @dataclass
 class InstanceOutcome:
     records: list[BenchmarkRecord]
-    preprocessed: PreprocessedInstance
+    preprocessed: PreprocessedInstance | None  # None when preprocessing raised
     prep_time: float
     colorings: dict[str, Coloring] = field(default_factory=dict)
 
@@ -121,13 +122,19 @@ def solve_instance(g: Graph, name: str, cfg: RunConfig,
     """Run the full pipeline for one instance and all configured models."""
     adapter = load_adapter(cfg.adapter)
     started = time.monotonic()
-    inst = preprocess_pipeline(g, mode=cfg.clique_mode, seed=cfg.seed,
-                               clique_time_budget=cfg.clique_time_budget)
+    inst, failure = None, None
+    try:
+        inst = preprocess_pipeline(g, mode=cfg.clique_mode, seed=cfg.seed,
+                                   clique_time_budget=cfg.clique_time_budget)
+    except Exception as exc:  # noqa: BLE001 - becomes every formulation's error row
+        failure = exc
     prep_time = time.monotonic() - started
     outcome = InstanceOutcome(records=[], preprocessed=inst, prep_time=prep_time)
 
     for model_name in cfg.models:
         try:
+            if failure is not None:
+                raise failure
             if inst.solved_in_preprocessing:
                 result = SolveResult(SolveStatus.OPTIMAL, inst.upper_bound, inst.upper_bound,
                                      values=None, wall_time=prep_time)

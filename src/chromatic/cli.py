@@ -91,13 +91,14 @@ def cmd_solve(args) -> int:
     lp_dir = (args.out / "lp") if args.out else None
     outcome = solve_instance(g, name, cfg, lp_dir=lp_dir)
     inst = outcome.preprocessed
-    removed = inst.reduced.original_n - inst.reduced.graph.n
     print(f"instance {name}: |V|={g.n} |E|={g.m}")
-    print(f"preprocessing: removed {removed} dominated vertices, "
-          f"clique size {inst.lower_bound}, upper bound {inst.upper_bound}, "
-          f"anchor vertex {inst.anchor + 1} (1-based), {outcome.prep_time:.2f}s")
-    if inst.solved_in_preprocessing:
-        print("bounds met in preprocessing; no MILP solved")
+    if inst is not None:
+        removed = inst.reduced.original_n - inst.reduced.graph.n
+        print(f"preprocessing: removed {removed} dominated vertices, "
+              f"clique size {inst.lower_bound}, upper bound {inst.upper_bound}, "
+              f"anchor vertex {inst.anchor + 1} (1-based), {outcome.prep_time:.2f}s")
+        if inst.solved_in_preprocessing:
+            print("bounds met in preprocessing; no MILP solved")
     for record in outcome.records:
         lb = "-inf" if record.lb is None else record.lb
         ub = "inf" if record.ub is None else record.ub

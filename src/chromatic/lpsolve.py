@@ -5,24 +5,26 @@ has a working external solver: it reads an LP file, solves the mixed-binary
 program, and writes a plain-text solution file:
 
     c chromatic-lps <version info>
-    status optimal|feasible|infeasible|unbounded|nosolution|error
+    status optimal|feasible|infeasible|unbounded|timeout_no_solution|error
     objective <float>            (when an incumbent exists)
     bound <float|-inf>           (best proven dual bound, no offset applied)
     v <name> <value>             (one line per variable, incumbent only)
 
-The solving core is `solve_parsed`: it takes a `MilpModel`, stacks its row
-blocks into one sparse matrix with numpy, sets the column bounds, calls
-HiGHS, maps the status and collects the values. Both routes call it: the
-LP-file route on what `parse_lp` reads (`solve_lp_text`: this script, the
-`builtin-sub` adapter) and the in-process `builtin` adapter on the built
-model itself, with no LP text written or parsed. Both give HiGHS the same
-arrays.
+The status words are the values of `SolveStatus`, the one status vocabulary
+from HiGHS to the CSV row. The solving core is `solve_parsed`: it takes a
+`MilpModel`, stacks its row blocks into one sparse matrix with numpy, sets
+the column bounds, calls HiGHS, maps its status code to a `SolveStatus`
+member and collects the values. Both routes call it: the LP-file route on
+what `parse_lp` reads (`solve_lp_text`: this script, the `builtin-sub`
+adapter) and the in-process `builtin` adapter on the built model itself,
+with no LP text written or parsed. Both give HiGHS the same arrays.
 """
 from __future__ import annotations
 
 import argparse
 import sys
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -31,16 +33,23 @@ from scipy.sparse import csr_matrix
 from .lp import LpParseError, parse_lp
 from .models import MilpModel
 
-STATUS_WORDS = ("optimal", "feasible", "infeasible", "unbounded", "nosolution", "error")
+
+class SolveStatus(str, Enum):
+    OPTIMAL = "optimal"
+    FEASIBLE = "feasible"
+    INFEASIBLE = "infeasible"
+    UNBOUNDED = "unbounded"
+    TIMEOUT_NO_SOLUTION = "timeout_no_solution"
+    ERROR = "error"
 
 
 @dataclass(frozen=True)
 class RawSolve:
     """What a solver reports before normalization (no offset applied): the
     result of `solve_parsed`, or what `backend.parse_solution` reads from a
-    solver's output, where a missing status word is None."""
+    solver's output, where a missing status is None."""
 
-    status_word: str | None
+    status: SolveStatus | None
     objective: float | None
     bound: float | None
     values: dict[str, float] | None
@@ -84,7 +93,7 @@ def solve_parsed(model: MilpModel, time_limit: float = 3600.0) -> RawSolve:
                    bounds=Bounds(lower, upper),
                    options={"time_limit": float(time_limit), "mip_rel_gap": 0.0})
     except ValueError as exc:
-        return RawSolve("error", None, None, None, f"solver rejected model: {exc}")
+        return RawSolve(SolveStatus.ERROR, None, None, None, f"solver rejected model: {exc}")
 
     incumbent = res.x is not None
     objective = sign * float(res.fun) if incumbent else None
@@ -94,18 +103,13 @@ def solve_parsed(model: MilpModel, time_limit: float = 3600.0) -> RawSolve:
     else:
         bound = None
 
-    if res.status == 0:
-        status = "optimal"
-        if bound is None:
-            bound = objective
-    elif res.status == 1:
-        status = "feasible" if incumbent else "nosolution"
-    elif res.status == 2:
-        status = "infeasible"
-    elif res.status == 3:
-        status = "unbounded"
+    if res.status == 1:  # time limit
+        status = SolveStatus.FEASIBLE if incumbent else SolveStatus.TIMEOUT_NO_SOLUTION
     else:
-        status = "error"
+        status = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE,
+                  3: SolveStatus.UNBOUNDED}.get(res.status, SolveStatus.ERROR)
+    if status is SolveStatus.OPTIMAL and bound is None:
+        bound = objective
 
     values = dict(zip(names, res.x.tolist())) if incumbent else None
     return RawSolve(status, objective, bound, values, str(res.message))
@@ -116,7 +120,7 @@ def solve_lp_text(text: str, time_limit: float = 3600.0) -> RawSolve:
 
 
 def render_solution(outcome: RawSolve) -> str:
-    lines = ["c chromatic-lps solution file", f"status {outcome.status_word}"]
+    lines = ["c chromatic-lps solution file", f"status {outcome.status.value}"]
     if outcome.objective is not None:
         lines.append(f"objective {outcome.objective:.12g}")
     lines.append(f"bound {outcome.bound:.12g}" if outcome.bound is not None else "bound -inf")
@@ -153,7 +157,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"chromatic-lps: cannot write solution: {exc}", file=sys.stderr)
         return 2
-    print(f"chromatic-lps: {outcome.status_word}"
+    print(f"chromatic-lps: {outcome.status.value}"
           + (f" objective {outcome.objective:.12g}" if outcome.objective is not None else ""))
     return 0
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from chromatic import bench
-from chromatic.backend import RawSolve
+from chromatic.backend import RawSolve, SolveStatus
 from chromatic.graph import Coloring
 from chromatic.models import (MilpModel, ModelError, check_feasible, encode_coloring,
                               objective_value)
@@ -57,7 +57,7 @@ class NullAdapter:
         chi = oracle.chi
         upper = model.meta.get("upper_bound")
         if isinstance(upper, int) and chi > upper:
-            return RawSolve("infeasible", None, None, None,
+            return RawSolve(SolveStatus.INFEASIBLE, None, None, None,
                             log=f"chromatic number {chi} exceeds color bound {upper}")
         coloring = self._align(model, oracle.witness, chi)
         values = encode_coloring(model, coloring)
@@ -65,7 +65,7 @@ class NullAdapter:
         if violated:
             raise ModelError(f"oracle encoding violated {violated[:5]}")
         raw_obj = objective_value(model, values, with_offset=False)
-        return RawSolve("optimal", raw_obj, raw_obj, dict(values), log="oracle")
+        return RawSolve(SolveStatus.OPTIMAL, raw_obj, raw_obj, dict(values), log="oracle")
 
     def _align(self, model: MilpModel, witness: Coloring, chi: int) -> Coloring:
         clique = tuple(model.meta.get("clique") or ())

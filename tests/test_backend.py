@@ -34,13 +34,13 @@ class TestParseSolutionDialects:
                 "v x_1_2 0\n"
                 "v w_1 1\n")
         parsed = parse_solution(text, "chromatic")
-        assert parsed.status_word == "optimal"
+        assert parsed.status is SolveStatus.OPTIMAL
         assert parsed.objective == 3.0 and parsed.bound == 3.0
         assert parsed.values == {"x_0_1": 1.0, "x_1_2": 0.0, "w_1": 1.0}
 
     def test_infeasible_with_no_values(self):
         parsed = parse_solution("status infeasible\nbound -inf\n", "chromatic")
-        assert parsed.status_word == "infeasible"
+        assert parsed.status is SolveStatus.INFEASIBLE
         assert parsed.bound is None and parsed.values == {}
 
     def test_chromatic_strict_rejects_junk(self):
@@ -52,13 +52,13 @@ class TestParseSolutionDialects:
                 "      0 x_0_1                 1                       0\n"
                 "      1 x_0_2                 0                       0\n")
         parsed = parse_solution(text, "cbc")
-        assert parsed.status_word == "optimal"
+        assert parsed.status is SolveStatus.OPTIMAL
         assert parsed.objective == 4.0
         assert parsed.values["x_0_1"] == 1.0
 
     def test_cbc_time_limit(self):
         parsed = parse_solution("Stopped on time limit - objective value 6.5\n", "cbc")
-        assert parsed.status_word == "feasible" and parsed.objective == 6.5
+        assert parsed.status is SolveStatus.FEASIBLE and parsed.objective == 6.5
 
     def test_gurobi_sol_and_log(self):
         sol = ("# Solution for model obj\n"
@@ -72,7 +72,7 @@ class TestParseSolutionDialects:
                "Optimal solution found (tolerance 1.00e-04)\n"
                "Best objective 4.000000000000e+00, best bound 4.000000000000e+00\n")
         parsed_log = parse_solution(log, "gurobi")
-        assert parsed_log.status_word == "optimal"
+        assert parsed_log.status is SolveStatus.OPTIMAL
         assert parsed_log.bound == 4.0
 
     def test_glpsol_display_output(self):
@@ -81,9 +81,14 @@ class TestParseSolutionDialects:
                 "     1 x_0_1        *              1             0             1\n"
                 "     2 x_0_2        *              0             0             1\n")
         parsed = parse_solution(text, "glpsol")
-        assert parsed.status_word == "optimal"
+        assert parsed.status is SolveStatus.OPTIMAL
         assert parsed.objective == 3.0
         assert parsed.values["x_0_1"] == 1.0
+
+    @pytest.mark.parametrize("status", list(SolveStatus))
+    def test_every_rendered_status_reads_back(self, status):
+        text = lpsolve.render_solution(RawSolve(status, None, None, None))
+        assert parse_solution(text, "chromatic").status is status
 
     @given(st.text(alphabet=st.characters(min_codepoint=9, max_codepoint=126),
                    max_size=300),
@@ -143,12 +148,29 @@ class TestNormalization:
             def solve_model(self, model, lp_path, time_limit, seed, workdir):
                 values = {name: 0.0 for name in model.variables}
                 values[model.variables[-1]] = 0.5
-                return RawSolve("optimal", 2.0, 2.0, values, log="stub log")
+                return RawSolve(SolveStatus.OPTIMAL, 2.0, 2.0, values, log="stub log")
 
         result = solve(model, adapter=HalfAdapter(), time_limit=30)
         assert result.status is SolveStatus.ERROR
         assert result.values is None
         assert "non-binary" in result.log and "stub log" in result.log
+
+    @pytest.mark.parametrize("reported, normalized", [
+        (SolveStatus.OPTIMAL, SolveStatus.ERROR),
+        (SolveStatus.FEASIBLE, SolveStatus.TIMEOUT_NO_SOLUTION),
+    ])
+    def test_report_without_values(self, reported, normalized):
+        model = build_pop(families.cycle(5), 3, anchor=0)
+
+        class NoValuesAdapter:
+            name = "no-values"
+
+            def solve_model(self, model, lp_path, time_limit, seed, workdir):
+                return RawSolve(reported, 2.0, 1.0, None)
+
+        result = solve(model, adapter=NoValuesAdapter(), time_limit=30)
+        assert result.status is normalized
+        assert result.values is None and result.upper_bound is None
 
     def test_timeout_statuses_have_consistent_fields(self):
         g = gnp_random(40, 0.5, 2)
@@ -368,21 +390,39 @@ class TestSubprocessAdapter:
         assert result.wall_time < 30
 
     def test_partial_solution_from_killed_solver_still_parsed(self, tmp_path, monkeypatch):
+        # a silent child and one that printed before it was killed: the
+        # printed part reaches the log as bytes, even in text mode
         monkeypatch.setattr("chromatic.backend.KILL_GRACE_SECONDS", 0.5)
-        script = tmp_path / "slow_writer.py"
-        script.write_text(
-            "import sys, time\n"
-            "open(sys.argv[2], 'w').write('status feasible\\n"
-            "objective 2\\nbound 1\\nv y_1_0 1\\nv y_1_1 0\\n')\n"
-            "time.sleep(600)\n")
+        chatty = "print('searching', flush=True)\nprint('searching', file=sys.stderr, flush=True)\n"
+        for chatter in ("", chatty):
+            script = tmp_path / "slow_writer.py"
+            script.write_text(
+                "import sys, time\n"
+                "open(sys.argv[2], 'w').write('status feasible\\n"
+                "objective 2\\nbound 1\\nv y_1_0 1\\nv y_1_1 0\\n')\n"
+                + chatter + "time.sleep(600)\n")
+            adapter = CommandAdapter(executable=sys.executable,
+                                     args=(str(script), "{model}", "{solout}"),
+                                     dialect="chromatic")
+            g = families.complete(2)
+            result = solve(build_pop(g, 2, anchor=0), adapter=adapter, time_limit=0.2)
+            assert result.status is SolveStatus.FEASIBLE, result.log
+            assert result.upper_bound == 3  # raw 2 plus the ordering model offset
+            assert result.values == {"y_1_0": 1, "y_1_1": 0}
+            assert result.log.count("searching") == (2 if chatter else 0)
+
+    def test_feasible_solution_file_without_values_is_a_timeout(self, tmp_path):
+        script = tmp_path / "empty_handed.py"
+        script.write_text("import sys\n"
+                          "open(sys.argv[2], 'w').write('status feasible\\nbound 1\\n')\n")
         adapter = CommandAdapter(executable=sys.executable,
                                  args=(str(script), "{model}", "{solout}"),
                                  dialect="chromatic")
         g = families.complete(2)
-        result = solve(build_pop(g, 2, anchor=0), adapter=adapter, time_limit=0.2)
-        assert result.status is SolveStatus.FEASIBLE
-        assert result.upper_bound == 3  # raw 2 plus the ordering model offset
-        assert result.values == {"y_1_0": 1, "y_1_1": 0}
+        result = solve(build_pop(g, 2, anchor=0), adapter=adapter, time_limit=5)
+        assert result.status is SolveStatus.TIMEOUT_NO_SOLUTION
+        assert result.values is None and result.upper_bound is None
+        assert result.lower_bound == 2  # the raw bound 1 plus the ordering model offset
 
     def test_garbage_solver_output_is_error_status(self, tmp_path):
         script = tmp_path / "fake_solver.py"
@@ -469,6 +509,23 @@ class TestAdapterConfig:
         path.write_text(json.dumps({"path": "x", "args": [], "dialect": "klingon"}))
         with pytest.raises(ValueError, match="unknown dialect"):
             load_adapter(str(path))
+
+    @pytest.mark.parametrize("text, fault", [
+        (json.dumps({"args": ["{model}"], "dialect": "cbc"}), '"path"'),
+        (json.dumps({"path": 7}), '"path"'),
+        (json.dumps(["cbc", "{model}"]), "expected a JSON object, got list"),
+        (json.dumps({"path": "x", "args": ["{model}", 2]}), '"args"'),
+        (json.dumps({"path": "x", "args": {"model": "{model}"}}), '"args"'),
+        (json.dumps({"path": "x", "dialect": ["cbc"]}), "unknown dialect"),
+    ], ids=["no-path", "path-not-string", "list", "args-not-strings", "args-object",
+            "dialect-list"])
+    def test_malformed_config_names_file_and_fault(self, tmp_path, text, fault):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as raised:
+            load_adapter(str(path))
+        assert str(raised.value).startswith(f"adapter config {path}: ")
+        assert fault in str(raised.value)
 
 
 class TestBackendInvariants:

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,7 +10,7 @@ from chromatic.bench import (BenchmarkRecord, ManifestRow, RunConfig, generate_s
                              read_manifest, records_csv, run_bench,
                              solve_instance, strip_time_columns, summarize,
                              summary_csv)
-from chromatic.graph import (Coloring, ColoringError, parse_dimacs, verify_coloring,
+from chromatic.graph import (Coloring, ColoringError, Graph, parse_dimacs, verify_coloring,
                              write_dimacs)
 from chromatic.models import ModelError
 from chromatic.oracle import chromatic_number_exact
@@ -68,6 +69,13 @@ class TestSolveInstance:
         assert all(r.error.startswith("ColoringError: coloring of reduced graph is invalid")
                    for r in outcome.records)
         assert outcome.colorings == {}
+
+    def test_preprocessing_error_becomes_error_rows(self):
+        outcome = solve_instance(Graph.from_edges(0, ()), "e", RunConfig(models=("pop", "rep")))
+        assert outcome.preprocessed is None and outcome.colorings == {}
+        assert [r.status for r in outcome.records] == ["error:ValueError"] * 2
+        assert all(r.error == "ValueError: greedy_upper_bound needs at least one vertex"
+                   and r.prep_time == outcome.prep_time for r in outcome.records)
 
     def test_full_solve_path(self):
         g = families.cycle(5)
@@ -294,6 +302,32 @@ class TestCliCommands:
         instance.write_text(write_dimacs(families.complete(2)))
         assert run_cli("solve", str(instance), "--adapter", "no-such-adapter") == 2
         assert "unknown adapter" in capsys.readouterr().err
+
+    def test_solve_prints_rows_when_preprocessing_fails(self, tmp_path, capsys, monkeypatch):
+        def refuse(g, **kwargs):
+            raise ValueError("no preprocessing today")
+
+        monkeypatch.setattr(bench, "preprocess_pipeline", refuse)
+        instance = tmp_path / "c5.col"
+        instance.write_text(write_dimacs(families.cycle(5)))
+        assert run_cli("solve", str(instance), "--model", "pop2") == 1
+        printed = capsys.readouterr().out
+        assert "preprocessing:" not in printed
+        assert "status=error:ValueError" in printed
+        assert "ValueError: no preprocessing today" in printed
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    @pytest.mark.parametrize("config", [{"args": ["{model}"]}, ["cbc", "{model}"]],
+                             ids=["no-path", "list"])
+    def test_malformed_adapter_config_exit_two(self, tmp_path, capsys, command, config):
+        (tmp_path / "k3.col").write_text(write_dimacs(families.complete(3)))
+        (tmp_path / "manifest.csv").write_text("file,name,n,m,p,seed,class\n"
+                                               "k3.col,k3,3,3,0,0,\n")
+        adapter = tmp_path / "cfg.json"
+        adapter.write_text(json.dumps(config))
+        target = tmp_path / ("k3.col" if command == "solve" else "manifest.csv")
+        assert run_cli(command, str(target), "--adapter", str(adapter)) == 2
+        assert f"chromatic {command}: adapter config {adapter}: " in capsys.readouterr().err
 
     def test_generate_and_bench_and_verify(self, tmp_path, capsys):
         assert run_cli("generate", "custom", "--n", "9", "--p", "0.4",

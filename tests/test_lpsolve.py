@@ -1,4 +1,4 @@
-from chromatic.lpsolve import main, render_solution, solve_lp_text
+from chromatic.lpsolve import SolveStatus, main, render_solution, solve_lp_text
 
 
 def test_minimize_binary():
@@ -6,7 +6,7 @@ def test_minimize_binary():
         "Minimize\n obj: x + y\n"
         "Subject To\n c1: x + y >= 1\n"
         "Binaries\n x y\nEnd\n", time_limit=10)
-    assert outcome.status_word == "optimal"
+    assert outcome.status is SolveStatus.OPTIMAL
     assert outcome.objective == 1.0
     assert sum(outcome.values.values()) == 1.0
 
@@ -16,7 +16,7 @@ def test_maximize_sign_handling():
         "Maximize\n obj: x + 2 y\n"
         "Subject To\n c1: x + y <= 1\n"
         "Binaries\n x y\nEnd\n", time_limit=10)
-    assert outcome.status_word == "optimal"
+    assert outcome.status is SolveStatus.OPTIMAL
     assert outcome.objective == 2.0
     assert outcome.values["y"] == 1.0 and outcome.values["x"] == 0.0
 
@@ -27,7 +27,7 @@ def test_infeasible_fixed_bounds():
         "Subject To\n c1: x >= 1\n"
         "Bounds\n x = 0\n"
         "Binaries\n x\nEnd\n", time_limit=10)
-    assert outcome.status_word == "infeasible"
+    assert outcome.status is SolveStatus.INFEASIBLE
     assert outcome.values is None
 
 
@@ -37,7 +37,7 @@ def test_continuous_relaxation_supported():
         "Minimize\n obj: x + y\n"
         "Subject To\n c1: 2 x + y >= 1\n c2: x + 2 y >= 1\n"
         "Bounds\n 0 <= x <= 1\n 0 <= y <= 1\nEnd\n", time_limit=10)
-    assert outcome.status_word == "optimal"
+    assert outcome.status is SolveStatus.OPTIMAL
     assert abs(outcome.objective - 2 / 3) < 1e-6
 
 
@@ -46,7 +46,7 @@ def test_unbounded_detected():
         "Minimize\n obj: x\n"
         "Subject To\n c1: x <= 0\n"
         "Bounds\n x free\nEnd\n", time_limit=10)
-    assert outcome.status_word == "unbounded"
+    assert outcome.status is SolveStatus.UNBOUNDED
 
 
 def test_render_includes_all_sections():
@@ -64,7 +64,7 @@ def test_lower_bound_on_a_binary_keeps_it_binary():
     outcome = solve_lp_text(
         "Maximize\n obj: x\nSubject To\nBounds\n x >= 1\nBinaries\n x\nEnd\n",
         time_limit=10)
-    assert outcome.status_word == "optimal"
+    assert outcome.status is SolveStatus.OPTIMAL
     assert outcome.objective == 1.0
 
 
