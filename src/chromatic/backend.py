@@ -16,9 +16,10 @@ CSV row. Raw solver numbers are normalized once, in `solve`: the model's
 constant offset is re-applied, dual bounds are rounded up to integers
 (every formulation has an integral objective), and one incumbent rule
 covers every adapter: a report with no values that says `optimal` is an
-`error`, and one that says `feasible` is `timeout_no_solution`. A
-`CommandAdapter` that finds no status in the solver's output reports
-`timeout_no_solution` only when it killed the child, else `error`.
+`error`, and one that says `feasible` is `timeout_no_solution`. An
+`error` result carries no bounds and no values. A `CommandAdapter` that
+finds no status in the solver's output reports `timeout_no_solution`
+only when it killed the child, else `error`.
 """
 from __future__ import annotations
 
@@ -185,13 +186,12 @@ class BuiltinAdapter:
     """Default adapter: the bundled HiGHS core, run in-process on the model.
 
     `lpsolve.solve_parsed` takes the built model itself, its row blocks,
-    fixings and column order, as `chromatic-lps` takes what `parse_lp`
+    bounds and column order, as `chromatic-lps` takes what `parse_lp`
     reads from the LP file, so HiGHS sees the same arrays on both routes.
     It reads no file.
     """
 
     name = "builtin"
-    dialect = "chromatic"
 
     def solve_model(self, model: MilpModel, lp_path: Path | None, time_limit: float,
                     seed: int, workdir: Path | None) -> RawSolve:
@@ -305,24 +305,24 @@ def load_adapter(spec: str):
     if not path.exists():
         raise SolverNotFoundError(f"unknown adapter {spec!r}: not a built-in name "
                                   f"({', '.join(BUILTIN_ADAPTERS)}) and no such file")
-    config = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(config, dict):
-        raise ValueError(f"adapter config {spec}: expected a JSON object, "
-                         f"got {type(config).__name__}")
-    args = config.get("args", [])
-    if isinstance(args, str):
-        args = shlex.split(args)
-    dialect = config.get("dialect", "chromatic")
-    if not isinstance(config.get("path"), str):
-        fault = 'needs "path", the solver executable, as a string'
-    elif not (isinstance(args, list) and all(isinstance(arg, str) for arg in args)):
-        fault = '"args" must be a list of strings or one string'
-    elif not isinstance(dialect, str) or dialect not in DIALECTS:
-        fault = f"unknown dialect {dialect!r}"
-    else:
-        return CommandAdapter(executable=config["path"], args=tuple(args), dialect=dialect,
-                              name=config.get("name", path.stem))
-    raise ValueError(f"adapter config {spec}: {fault}")
+    try:  # every fault below, the JSON's and shlex's too, is a ValueError
+        config = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(config, dict):
+            raise ValueError(f"expected a JSON object, got {type(config).__name__}")
+        args = config.get("args", [])
+        if isinstance(args, str):
+            args = shlex.split(args)
+        dialect = config.get("dialect", "chromatic")
+        if not isinstance(config.get("path"), str):
+            raise ValueError('needs "path", the solver executable, as a string')
+        if not (isinstance(args, list) and all(isinstance(arg, str) for arg in args)):
+            raise ValueError('"args" must be a list of strings or one string')
+        if not isinstance(dialect, str) or dialect not in DIALECTS:
+            raise ValueError(f"unknown dialect {dialect!r}")
+    except ValueError as exc:
+        raise ValueError(f"adapter config {spec}: {exc}") from None
+    return CommandAdapter(executable=config["path"], args=tuple(args), dialect=dialect,
+                          name=config.get("name", path.stem))
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +366,8 @@ def solve(model: MilpModel, adapter=None, time_limit: float = 3600.0, seed: int 
     if raw.values is None:
         status = {SolveStatus.OPTIMAL: SolveStatus.ERROR,
                   SolveStatus.FEASIBLE: SolveStatus.TIMEOUT_NO_SOLUTION}.get(status, status)
+    if status is SolveStatus.ERROR:  # an error row claims no bound
+        return SolveResult(status, None, None, None, wall, log=raw.log)
     offset = model.offset
     values = None
     upper = None

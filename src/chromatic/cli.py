@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .backend import SolverNotFoundError, SolveStatus, load_adapter
@@ -48,19 +49,14 @@ def _load_graph(path: str) -> Graph:
 
 
 def _config_from_args(args) -> RunConfig:
+    """The run's settings; `--desk-scale` changes only the limits not given."""
     load_adapter(args.adapter)  # validate the spec before any work happens
-    cfg = RunConfig(
-        models=tuple(args.model) if args.model else ("pop2",),
-        clique_mode=args.clique,
-        time_limit=args.time_limit,
-        clique_time_budget=args.clique_budget,
-        adapter=args.adapter,
-        seed=args.seed,
-        jobs=getattr(args, "jobs", 1),
-    )
-    if args.desk_scale:
-        cfg = cfg.desk_scale()
-    return cfg
+    base = RunConfig().desk_scale() if args.desk_scale else RunConfig()
+    limits = {"time_limit": args.time_limit, "clique_time_budget": args.clique_budget}
+    return replace(base, models=tuple(args.model) if args.model else base.models,
+                   clique_mode=args.clique, adapter=args.adapter, seed=args.seed,
+                   jobs=getattr(args, "jobs", 1),
+                   **{key: value for key, value in limits.items() if value is not None})
 
 
 def _add_run_options(sub: argparse.ArgumentParser) -> None:
@@ -68,16 +64,19 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
                      help="formulation to run (repeatable; default pop2)")
     sub.add_argument("--clique", choices=("c", "e"), default="e",
                      help="clique search objective: size (c) or fixing count (e)")
-    sub.add_argument("--time-limit", type=float, default=3600.0, metavar="S")
-    sub.add_argument("--clique-budget", type=float, default=60.0, metavar="S",
-                     help="wall-time budget for the randomized clique search")
+    sub.add_argument("--time-limit", type=float, metavar="S",
+                     help="solver time limit per model (default 3600, or 60 with --desk-scale)")
+    sub.add_argument("--clique-budget", type=float, metavar="S",
+                     help="wall-time budget for the randomized clique search "
+                          "(default 60, or 5 with --desk-scale)")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--adapter", default="builtin",
                      help="builtin | builtin-sub | path to adapter JSON")
     sub.add_argument("--out", type=Path, default=None, metavar="PATH",
                      help="output directory (solve) or records CSV file (bench)")
     sub.add_argument("--desk-scale", action="store_true",
-                     help="shorthand for --time-limit 60 --clique-budget 5")
+                     help="default to --time-limit 60 --clique-budget 5; "
+                          "either flag given still wins")
 
 
 def cmd_solve(args) -> int:

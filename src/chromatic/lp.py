@@ -2,8 +2,8 @@
 
 The emitter writes the CPLEX-style LP dialect every mainstream MILP solver
 consumes: a Minimize section (Maximize for a parsed maximization), named
-rows under Subject To, fixed variables and any general bounds as Bounds
-lines, and a Binaries section. Output is byte-identical
+rows under Subject To, the model's `bounds` (fixed columns and any general
+bounds) as Bounds lines, and a Binaries section. Output is byte-identical
 for identical models. The objective's constant offset cannot be carried
 portably inside the format, so it travels as a structured comment and is
 re-applied by whoever normalizes results.
@@ -32,6 +32,8 @@ solver as it is. One grammar covers what it reads:
                    x = a, a <= x <= b, x >= a, x <= b and -inf <= x <= b.
                    A side a line leaves unset defaults to 0 below, and
                    above to 1 for a Binaries column and +inf otherwise.
+                   A bound outside [0, 1] on a Binaries column is refused
+                   with its line number: it would widen the column.
   binaries         names; every other column is continuous
   comments         from a backslash to the end of the line; a line
                    `\\ offset: k` sets the objective's constant
@@ -131,7 +133,7 @@ def emit_lp(m: MilpModel) -> str:
     A built model is an all-binary minimization whose only bounds are its
     fixings. A parsed one may also be a maximization, bound columns
     generally and keep continuous columns after its first `num_binary`;
-    all of that is written back.
+    all of that is written back, every bound through `_bound_line`.
     """
     lines = [f"\\ model: {m.kind}", f"\\ offset: {_coef_str(m.offset)}"]
     lines.append("Minimize" if m.minimize else "Maximize")
@@ -139,10 +141,9 @@ def emit_lp(m: MilpModel) -> str:
     lines.extend(_wrap(" obj: " + _expression(objective, m.objective[0][1] if objective else 0)))
     lines.append("Subject To")
     lines.extend(_row_lines(m))
-    binaries = m.variables if m.num_binary is None else m.variables[:m.num_binary]
-    bounds = [f" {name} = {m.fixings[name]}" if name in m.fixings
-              else _bound_line(name, *m.bounds[name], 1.0 if j < len(binaries) else INF)
-              for j, name in enumerate(m.variables) if name in m.fixings or name in m.bounds]
+    binaries = m.variables[:m.num_binary]
+    bounds = [_bound_line(name, *m.bounds[name], 1.0 if j < m.num_binary else INF)
+              for j, name in enumerate(m.variables) if name in m.bounds]
     if bounds:
         lines.append("Bounds")
         lines.extend(bounds)
@@ -286,14 +287,15 @@ def parse_lp(text: str) -> MilpModel:
                     raise _error(text, line.start(),
                                  f"cannot parse bound {line.group().strip()!r}")
                 a, before, name, after, b, free = bound.groups()
-                side = sides.setdefault(name, [None, None])
+                side = sides.setdefault(name, [None, None])  # (value, where it was set)
+                at = line.start()
                 if free:
-                    side[:] = [-INF, INF]
+                    side[:] = [(-INF, at), (INF, at)]
                 for sense, value, right in ((before, a, False), (after, b, True)):
                     if sense == "=":
-                        side[:] = [float(value)] * 2
+                        side[:] = [(float(value), at)] * 2
                     elif sense:  # "a <= x" and "x >= b" set side 0, the lower one
-                        side[(sense in _LE) == right] = float(value)
+                        side[(sense in _LE) == right] = (float(value), at)
         elif section == "binaries":
             for line in _LINE_RE.finditer(text, pos, end):
                 for token in line.group().split():
@@ -310,10 +312,14 @@ def parse_lp(text: str) -> MilpModel:
     variables = tuple(dict.fromkeys([*binaries, *(name for name, _ in objective), *names,
                                      *sides]))
     columns = dict(zip(variables, range(len(variables))))
-    binary = set(variables[:num_binary])
-    bounds = {name: (0.0 if lo is None else lo,
-                     (1.0 if name in binary else INF) if hi is None else hi)
-              for name, (lo, hi) in sides.items()}
+    bounds = {}
+    for name, side in sides.items():
+        top = 1.0 if columns[name] < num_binary else INF
+        for value, at in filter(None, side):
+            if top == 1.0 and not 0 <= value <= 1:
+                raise _error(text, at, f"bound {value:g} on binary column {name} is outside [0, 1]")
+        bounds[name] = tuple(default if set_ is None else set_[0]
+                             for set_, default in zip(side, (0.0, top)))
     indptr = np.zeros(len(widths) + 1, dtype=np.int64)
     np.cumsum(widths, out=indptr[1:])
     values = np.array(rhs, dtype=float)
@@ -328,5 +334,5 @@ def parse_lp(text: str) -> MilpModel:
                     dense_width=None, names=lambda: names_of_rows)
     return MilpModel(kind="lp", variables=variables, blocks=(rows,),
                      objective=tuple(objective), offset=float(offsets[-1]) if offsets else 0.0,
-                     fixings={}, meta={}, bounds=bounds, num_binary=num_binary,
+                     meta={}, bounds=bounds, num_binary=num_binary,
                      minimize=minimize)

@@ -66,16 +66,13 @@ def solve_parsed(model: MilpModel, time_limit: float = 3600.0) -> RawSolve:
     sign = 1.0 if model.minimize else -1.0
     c *= sign
 
-    binary = nvar if model.num_binary is None else model.num_binary
     lower = np.zeros(nvar)
     upper = np.full(nvar, np.inf)
-    upper[:binary] = 1.0
-    for name, value in model.fixings.items():
-        lower[model.columns[name]] = upper[model.columns[name]] = value
+    upper[:model.num_binary] = 1.0
     for name, (lo, hi) in model.bounds.items():
         lower[model.columns[name]], upper[model.columns[name]] = lo, hi
     integrality = np.zeros(nvar)
-    integrality[:binary] = 1.0
+    integrality[:model.num_binary] = 1.0
 
     constraints = []
     blocks = model.blocks

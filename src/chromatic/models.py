@@ -100,7 +100,6 @@ class Constraint:
     sense: str  # "<=", "=" or ">="
     rhs: float
     block: str
-    dense_nnz: int
 
 
 def row_sense(lo: float, hi: float) -> tuple[str, float]:
@@ -116,10 +115,12 @@ def row_sense(lo: float, hi: float) -> tuple[str, float]:
 class MilpModel:
     """Minimization model over named columns, rows in blocks, constant offset.
 
-    Built models are all binary, with `fixings` pinning some columns. A
-    model read back from LP text (`lp.parse_lp`) may also carry general
-    column `bounds`, continuous columns after the first `num_binary`, and a
-    maximization sense.
+    The first `num_binary` columns are binary (bounds 0..1 unless `bounds`
+    says otherwise, within [0, 1]), the rest continuous (0..+inf unless
+    bounded). `fixings` is derived once: the `bounds` with lo == hi. Built
+    models are all-binary minimizations bounded only by clique fixings;
+    `lp.parse_lp` may also give general bounds, continuous columns and a
+    maximization.
     """
 
     kind: str
@@ -127,12 +128,12 @@ class MilpModel:
     blocks: tuple[RowBlock, ...]
     objective: tuple[tuple[str, float], ...]
     offset: float
-    fixings: Mapping[str, int]
     meta: Mapping[str, object]
+    num_binary: int
     bounds: Mapping[str, tuple[float, float]] = field(default_factory=dict)
-    num_binary: int | None = None  # None: every column is binary
     minimize: bool = True
     columns: Mapping[str, int] = field(init=False, repr=False)
+    fixings: Mapping[str, float] = field(init=False, repr=False)
 
     def __post_init__(self):
         columns = {name: j for j, name in enumerate(self.variables)}
@@ -147,11 +148,13 @@ class MilpModel:
         for name, _ in self.objective:
             if name not in columns:
                 raise ModelError(f"objective references unknown {name}")
-        for name, val in self.fixings.items():
+        for name, (lo, hi) in self.bounds.items():
             if name not in columns:
-                raise ModelError(f"fixing references unknown {name}")
-            if val not in (0, 1):
-                raise ModelError(f"fixing {name}={val} is not binary")
+                raise ModelError(f"bound references unknown {name}")
+            if columns[name] < self.num_binary and not (0 <= lo <= 1 and 0 <= hi <= 1):
+                raise ModelError(f"binary {name} has bounds {lo:g}..{hi:g} outside [0, 1]")
+        object.__setattr__(self, "fixings", {name: lo for name, (lo, hi) in self.bounds.items()
+                                             if lo == hi})
 
     @property
     def graph(self) -> Graph:
@@ -179,8 +182,7 @@ class MilpModel:
             for name, start, stop, lo, hi in rows:
                 terms = tuple(zip([self.variables[j] for j in cols[start:stop]],
                                   coefs[start:stop]))
-                out.append(Constraint(name, terms, *row_sense(lo, hi), block.family,
-                                      block.dense_width or len(terms)))
+                out.append(Constraint(name, terms, *row_sense(lo, hi), block.family))
         return tuple(out)
 
 
@@ -289,8 +291,8 @@ def build_ass_s(g: Graph, upper_bound: int) -> MilpModel:
                    for i in range(H)], "edge_{}_{}_", u, v)
     objective = tuple((wv(i), 1.0) for i in range(1, H + 1))
     return MilpModel(kind="ass-s", variables=variables, blocks=(assign, edge),
-                     objective=objective, offset=0, fixings={},
-                     meta=_meta(g, upper_bound=H))
+                     objective=objective, offset=0,
+                     meta=_meta(g, upper_bound=H), num_binary=len(variables))
 
 
 def build_ass(g: Graph, upper_bound: int) -> MilpModel:
@@ -362,8 +364,8 @@ def build_pop(g: Graph, upper_bound: int, anchor: int) -> MilpModel:
     blocks = (_pop_order_block(n, H), _pop_edge_block(u, v, H), _pop_anchor_block(n, H, anchor))
     objective = tuple((yv(i, anchor), 1.0) for i in range(1, H))
     return MilpModel(kind="pop", variables=variables, blocks=blocks,
-                     objective=objective, offset=1, fixings={},
-                     meta=_meta(g, upper_bound=H, anchor=anchor))
+                     objective=objective, offset=1,
+                     meta=_meta(g, upper_bound=H, anchor=anchor), num_binary=len(variables))
 
 
 def build_pop2(g: Graph, upper_bound: int, anchor: int) -> MilpModel:
@@ -394,8 +396,8 @@ def build_pop2(g: Graph, upper_bound: int, anchor: int) -> MilpModel:
     blocks = (_pop_order_block(n, H), link, edge, _pop_anchor_block(n, H, anchor))
     objective = tuple((yv(i, anchor), 1.0) for i in range(1, H))
     return MilpModel(kind="pop2", variables=variables, blocks=blocks,
-                     objective=objective, offset=1, fixings={},
-                     meta=_meta(g, upper_bound=H, anchor=anchor))
+                     objective=objective, offset=1,
+                     meta=_meta(g, upper_bound=H, anchor=anchor), num_binary=len(variables))
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +500,8 @@ def build_rep(g: Graph, first=()) -> MilpModel:
                 "isolated_{}_{}", owners, isolated_v[rows]))
     objective = tuple((rv(u, u), 1.0) for u in range(n))
     return MilpModel(kind="rep", variables=variables, blocks=tuple(blocks),
-                     objective=objective, offset=0, fixings={},
-                     meta={**_meta(g), "order": order})
+                     objective=objective, offset=0,
+                     meta={**_meta(g), "order": order}, num_binary=len(variables))
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +529,9 @@ def build_formulation(kind: str, inst: PreprocessedInstance) -> MilpModel:
     return replace(model, meta=meta)
 
 
-def _add_fixing(fixings: dict[str, int], name: str, value: int):
-    if fixings.get(name, value) != value:
-        raise FixingConflictError(f"{name} fixed to both {fixings[name]} and {value}")
-    fixings[name] = value
+def _add_fixing(bounds: dict[str, tuple[float, float]], name: str, value: int):
+    if bounds.setdefault(name, (value, value)) != (value, value):
+        raise FixingConflictError(f"{name} bounded to {bounds[name]}, cannot fix it to {value}")
 
 
 def apply_clique_fixings(m: MilpModel, inst: PreprocessedInstance) -> MilpModel:
@@ -543,7 +544,8 @@ def apply_clique_fixings(m: MilpModel, inst: PreprocessedInstance) -> MilpModel:
     maximality constraints already imply. Every boundary edge (u,v) with u
     precolored k forbids color k on v: a variable fixing where the model has
     that variable, the substituted equality y_{k-1}_v = y_k_v (a `boundary`
-    block) in the pure partial-ordering model.
+    block) in the pure partial-ordering model. A fixing is the bound (v, v)
+    in `bounds`.
     """
     g = m.graph
     clique = tuple(inst.clique)
@@ -552,7 +554,7 @@ def apply_clique_fixings(m: MilpModel, inst: PreprocessedInstance) -> MilpModel:
         raise ModelError("anchor vertex is not in the clique")
     others = tuple(v for v in sorted(clique) if v != anchor)
     precolor = {u: k for k, u in enumerate(others, start=1)}
-    fixings = dict(m.fixings)
+    bounds = dict(m.bounds)
     blocks = m.blocks
 
     if m.kind in ("ass-s", "ass"):
@@ -561,30 +563,30 @@ def apply_clique_fixings(m: MilpModel, inst: PreprocessedInstance) -> MilpModel:
         assignments[anchor] = len(clique)
         for u, k in assignments.items():
             for i in range(1, H + 1):
-                _add_fixing(fixings, xv(u, i), 1 if i == k else 0)
+                _add_fixing(bounds, xv(u, i), 1 if i == k else 0)
         for k in range(1, len(clique)):
-            _add_fixing(fixings, wv(k), 1)
+            _add_fixing(bounds, wv(k), 1)
         for (a, b) in boundary_edges(g, clique):
             u, v = (a, b) if a in assignments else (b, a)
-            _add_fixing(fixings, xv(v, assignments[u]), 0)
+            _add_fixing(bounds, xv(v, assignments[u]), 0)
     elif m.kind in ("pop", "pop2"):
         H = _color_bound(m)
         for u, k in precolor.items():
             for i in range(1, H):
-                _add_fixing(fixings, yv(i, u), 1 if i < k else 0)
+                _add_fixing(bounds, yv(i, u), 1 if i < k else 0)
         for i in range(1, min(len(clique), H)):
-            _add_fixing(fixings, yv(i, anchor), 1)
+            _add_fixing(bounds, yv(i, anchor), 1)
         boundary = []  # (precolored u, its color k, neighbour v)
         for (a, b) in boundary_edges(g, clique):
             if a in precolor or b in precolor:
                 u, v = (a, b) if a in precolor else (b, a)
                 k = precolor[u]
                 if m.kind == "pop2":
-                    _add_fixing(fixings, xv(v, k), 0)
+                    _add_fixing(bounds, xv(v, k), 0)
                 elif k == 1:
-                    _add_fixing(fixings, yv(1, v), 1)
+                    _add_fixing(bounds, yv(1, v), 1)
                 elif k == H:
-                    _add_fixing(fixings, yv(H - 1, v), 0)
+                    _add_fixing(bounds, yv(H - 1, v), 0)
                 else:
                     boundary.append((u, k, v))
         if boundary:
@@ -597,11 +599,11 @@ def apply_clique_fixings(m: MilpModel, inst: PreprocessedInstance) -> MilpModel:
             raise ModelError(f"rep model's vertex order does not start with the clique "
                              f"{sorted(clique)}, so r_q_q = 1 could cut off every optimum")
         for u in clique:
-            _add_fixing(fixings, rv(u, u), 1)
+            _add_fixing(bounds, rv(u, u), 1)
     else:
         raise ModelError(f"unknown formulation {m.kind!r}")
 
-    return replace(m, blocks=blocks, fixings=fixings)
+    return replace(m, blocks=blocks, bounds=bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -617,18 +619,12 @@ def binary_value(name: str, raw: float) -> int:
     raise ExtractionError(f"variable {name} has non-binary value {raw}")
 
 
-def _resolved(m: MilpModel, values: Mapping[str, float]) -> list[int]:
-    """Column values, rounded to 0/1: solver value, else fixing, else 0."""
-    out: list[int] = []
-    for name in m.variables:
-        if name in values:
-            raw = float(values[name])
-        elif name in m.fixings:
-            raw = float(m.fixings[name])
-        else:
-            raw = 0.0
-        out.append(binary_value(name, raw))
-    return out
+def column_values(m: MilpModel, values: Mapping[str, float]) -> list[float]:
+    """Every column's value in column order: the solver's, else the
+    column's fixing, else 0."""
+    fixings = m.fixings
+    return [float(values[name]) if name in values else float(fixings.get(name, 0))
+            for name in m.variables]
 
 
 def extract_coloring(m: MilpModel, values: Mapping[str, float]) -> Coloring:
@@ -640,7 +636,7 @@ def extract_coloring(m: MilpModel, values: Mapping[str, float]) -> Coloring:
     its smallest-id representative, classes numbered by representative id.
     """
     g = m.graph
-    val = _resolved(m, values)
+    val = [binary_value(name, raw) for name, raw in zip(m.variables, column_values(m, values))]
     colors: list[int] = []
     if m.kind in ("ass-s", "ass"):
         H = _color_bound(m)
@@ -716,19 +712,14 @@ def encode_coloring(m: MilpModel, c: Coloring) -> dict[str, int]:
 
 
 def objective_value(m: MilpModel, values: Mapping[str, float], with_offset: bool = True) -> float:
-    total = sum(coef * float(values.get(name, m.fixings.get(name, 0)))
-                for name, coef in m.objective)
+    x = column_values(m, values)
+    total = sum(coef * x[m.columns[name]] for name, coef in m.objective)
     return total + (m.offset if with_offset else 0)
 
 
 def check_feasible(m: MilpModel, values: Mapping[str, float], tol: float = 1e-9) -> list[str]:
-    """Names of constraints (and fixings) violated by a value assignment."""
-    def val(name: str) -> float:
-        if name in values:
-            return float(values[name])
-        return float(m.fixings.get(name, 0))
-
-    x = np.array([val(name) for name in m.variables], dtype=float)
+    """Names of constraints (and column bounds) violated by a value assignment."""
+    x = np.array(column_values(m, values))
     bad = []
     for block in m.blocks:
         rows = np.repeat(np.arange(len(block)), np.diff(block.indptr))
@@ -738,7 +729,7 @@ def check_feasible(m: MilpModel, values: Mapping[str, float], tol: float = 1e-9)
         if violated.any():
             names = block.names()
             bad.extend(names[r] for r in np.flatnonzero(violated).tolist())
-    for name, fixed in m.fixings.items():
-        if abs(val(name) - fixed) > tol:
-            bad.append(f"fixing:{name}")
+    for name, (lo, hi) in m.bounds.items():
+        if not lo - tol <= x[m.columns[name]] <= hi + tol:
+            bad.append(f"bound:{name}")
     return bad

@@ -424,6 +424,18 @@ class TestSubprocessAdapter:
         assert result.values is None and result.upper_bound is None
         assert result.lower_bound == 2  # the raw bound 1 plus the ordering model offset
 
+    def test_optimal_solution_file_without_values_is_an_error_without_bounds(self, tmp_path):
+        script = tmp_path / "empty_handed.py"
+        script.write_text("import sys\n"
+                          "open(sys.argv[2], 'w').write('status optimal\\nbound 1\\n')\n")
+        adapter = CommandAdapter(executable=sys.executable,
+                                 args=(str(script), "{model}", "{solout}"),
+                                 dialect="chromatic")
+        g = families.complete(2)
+        result = solve(build_pop(g, 2, anchor=0), adapter=adapter, time_limit=5)
+        assert result.status is SolveStatus.ERROR
+        assert (result.lower_bound, result.upper_bound, result.values) == (None, None, None)
+
     def test_garbage_solver_output_is_error_status(self, tmp_path):
         script = tmp_path / "fake_solver.py"
         script.write_text("import sys\n"
@@ -517,8 +529,10 @@ class TestAdapterConfig:
         (json.dumps({"path": "x", "args": ["{model}", 2]}), '"args"'),
         (json.dumps({"path": "x", "args": {"model": "{model}"}}), '"args"'),
         (json.dumps({"path": "x", "dialect": ["cbc"]}), "unknown dialect"),
+        ('{"path": "cbc",', "Expecting property name"),
+        (json.dumps({"path": "x", "args": '"unclosed'}), "No closing quotation"),
     ], ids=["no-path", "path-not-string", "list", "args-not-strings", "args-object",
-            "dialect-list"])
+            "dialect-list", "bad-json", "args-unclosed-quote"])
     def test_malformed_config_names_file_and_fault(self, tmp_path, text, fault):
         path = tmp_path / "bad.json"
         path.write_text(text)

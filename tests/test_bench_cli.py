@@ -364,6 +364,16 @@ class TestCliCommands:
         coloring.write_text("v 1 1\n")
         assert run_cli("verify", str(instance), str(coloring)) == 2
 
+    @pytest.mark.parametrize("flags, limits", [
+        (["--time-limit", "5", "--clique-budget", "0.5", "--desk-scale"], (5.0, 0.5)),
+        (["--desk-scale"], (60.0, 5.0)),
+        ([], (3600.0, 60.0)),
+    ], ids=["given-flags-win", "desk-scale", "defaults"])
+    def test_desk_scale_changes_only_the_defaults(self, flags, limits):
+        args = cli.build_parser().parse_args(["solve", "x.col", *flags])
+        cfg = cli._config_from_args(args)
+        assert (cfg.time_limit, cfg.clique_time_budget) == limits
+
     def test_verify_oracle_witness_for_petersen(self, tmp_path):
         g = families.petersen()
         instance = tmp_path / "petersen.col"

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -10,7 +11,7 @@ from chromatic.graph import gnp_random
 from chromatic.lp import LpParseError, emit_lp, parse_lp
 from chromatic.models import (apply_clique_fixings, build_ass, build_ass_s,
                               build_formulation, build_pop, build_pop2,
-                              build_rep)
+                              build_rep, check_feasible, model_stats)
 from chromatic.preprocess import greedy_upper_bound, preprocess_pipeline
 
 
@@ -93,9 +94,10 @@ class TestParseBack:
         assert [(c.name, c.terms, c.sense, c.rhs) for c in parsed.constraints] == \
             [(c.name, c.terms, c.sense, c.rhs) for c in model.constraints]
         assert parsed.variables == model.variables
-        assert parsed.num_binary == len(model.variables)
-        assert parsed.bounds == {name: (float(v), float(v))
-                                 for name, v in model.fixings.items()}
+        assert parsed.num_binary == model.num_binary == len(model.variables)
+        assert parsed.bounds == model.bounds
+        assert parsed.fixings == model.fixings
+        assert model_stats(parsed) == model_stats(model)
 
     @pytest.mark.parametrize("text", [
         "Maximize\n obj: x + y\nSubject To\n c: x + y <= 1\nBounds\n 0 <= y <= 5\n"
@@ -123,6 +125,13 @@ class TestParseBack:
         assert "Maximize" in text and "Minimize" not in text
         assert text.split("Bounds\n")[1].split("Binaries")[0] == " 0 <= y <= 5\n"
         assert text.split("Binaries\n")[1] == " x\nEnd\n"
+
+    def test_check_feasible_reads_every_bound(self):
+        m = parse_lp("Minimize\n obj: y\nSubject To\n c: y >= 1\nBounds\n y <= 5\n x = 1\n"
+                     "Binaries\n x\nEnd\n")
+        assert check_feasible(m, {"x": 1, "y": 3}) == []
+        assert check_feasible(m, {"x": 1, "y": 7}) == ["bound:y"]
+        assert check_feasible(m, {"x": 0, "y": 3}) == ["bound:x"]
 
     def test_long_lines_wrap_and_rejoin(self):
         g = gnp_random(60, 0.3, 1)
@@ -190,6 +199,13 @@ class TestParserErrors:
     def test_empty_input(self):
         with pytest.raises(LpParseError, match="no LP content"):
             parse_lp("\\ nothing here\n")
+
+    @pytest.mark.parametrize("bound", ["0 <= x <= 5", "x >= -2"])
+    def test_bound_cannot_widen_a_binary(self, bound):
+        with pytest.raises(LpParseError, match=r"line 6: bound -?\d+ on binary column x "
+                                               r"is outside \[0, 1\]"):
+            parse_lp(f"Maximize\n obj: x\nSubject To\n c: x <= 5\nBounds\n {bound}\n"
+                     "Binaries\n x\nEnd\n")
 
     @pytest.mark.parametrize("keyword", ["Generals", "Integers", "Semi-continuous"])
     def test_unsupported_section_refused(self, keyword):
@@ -277,9 +293,21 @@ def lp_texts(draw):
 class TestGrammar:
     @given(lp_texts())
     def test_parse_emit_parse_is_stable(self, text):
+        """Text is refused only for a bound outside [0, 1] on a binary
+        column, on a line that bounds it; any other text round-trips."""
         def content(m):
             return (m.minimize, m.variables, m.objective, m.offset, m.bounds, m.num_binary,
                     [(c.name, c.terms, c.sense, c.rhs) for c in m.constraints])
 
-        parsed = parse_lp(text)
+        try:
+            parsed = parse_lp(text)
+        except LpParseError as exc:
+            refusal = re.fullmatch(r"line (\d+): bound (\S+) on binary column (\w+) "
+                                   r"is outside \[0, 1\]", str(exc))
+            assert refusal, exc
+            line, value, name = refusal.groups()
+            assert not 0 <= float(value) <= 1
+            assert name in text.split("Binaries\n")[1].split()
+            assert re.search(rf"\b{name}\b", text.splitlines()[int(line) - 1])
+            return
         assert content(parse_lp(emit_lp(parsed))) == content(parsed)

@@ -254,7 +254,7 @@ class TestCliqueFixings:
         g = Graph.from_edges(3, [(1, 2)])
         inst = instance_for(g, clique=(1, 2), anchor=1)
         in_id_order = build_rep(g)
-        assert optimum(replace(in_id_order, fixings={rv(1, 1): 1, rv(2, 2): 1})) == 3
+        assert optimum(replace(in_id_order, bounds={rv(1, 1): (1, 1), rv(2, 2): (1, 1)})) == 3
         with pytest.raises(ModelError, match="does not start with the clique"):
             apply_clique_fixings(in_id_order, inst)
         m = apply_clique_fixings(build_rep(g, first=(1, 2)), inst)
@@ -262,13 +262,20 @@ class TestCliqueFixings:
         assert m.fixings == {rv(1, 1): 1, rv(2, 2): 1}
         assert optimum(m) == 2
 
+    def test_model_refuses_bounds_it_cannot_hold(self):
+        m = build_rep(families.complete(2))
+        with pytest.raises(ModelError, match="bound references unknown r_9_9"):
+            replace(m, bounds={rv(9, 9): (1, 1)})
+        with pytest.raises(ModelError, match=r"binary r_0_0 has bounds 0..2 outside \[0, 1\]"):
+            replace(m, bounds={rv(0, 0): (0, 2)})
+
     def test_conflicting_fixing_detected(self):
         g = families.complete(3)
         inst = instance_for(g, clique=(0, 1, 2), anchor=2)
         m = build_ass(g, 3)
         m = apply_clique_fixings(m, inst)
         from dataclasses import replace
-        tampered = replace(m, fixings={**m.fixings, xv(0, 1): 0})
+        tampered = replace(m, bounds={**m.bounds, xv(0, 1): (0, 0)})
         with pytest.raises(FixingConflictError):
             apply_clique_fixings(tampered, inst)
 
