@@ -16,10 +16,9 @@ CSV row. Raw solver numbers are normalized once, in `solve`: the model's
 constant offset is re-applied, dual bounds are rounded up to integers
 (every formulation has an integral objective), and one incumbent rule
 covers every adapter: a report with no values that says `optimal` is an
-`error`, and one that says `feasible` is `timeout_no_solution`. An
-`error` result carries no bounds and no values. A `CommandAdapter` that
-finds no status in the solver's output reports `timeout_no_solution`
-only when it killed the child, else `error`.
+`error`, and one that says `feasible` is `timeout_no_solution`. The upper
+bound is the rounded incumbent's objective, offset included. An `error`
+result carries no bounds and no values.
 """
 from __future__ import annotations
 
@@ -41,7 +40,6 @@ from .lpsolve import RawSolve, SolveStatus
 from .models import VALUE_TOLERANCE, ExtractionError, MilpModel, binary_value, objective_value
 
 KILL_GRACE_SECONDS = 10.0
-ENV_SOLVER_OVERRIDE = "CHROMATIC_SOLVER"
 
 
 class SolverNotFoundError(RuntimeError):
@@ -133,14 +131,14 @@ DIALECTS: dict[str, Dialect] = {
 }
 
 
-def parse_solution(text: str, dialect: str | Dialect) -> RawSolve:
+def parse_solution(text: str, dialect: str) -> RawSolve:
     """Scan solver output with a dialect's regex table.
 
     Strict dialects reject unrecognized lines with the line number; the
     others skim logs for whatever matches. Raises SolutionParseError only --
     arbitrary input must never escape as another exception.
     """
-    table = DIALECTS[dialect] if isinstance(dialect, str) else dialect
+    table = DIALECTS[dialect]
     status_res = [(re.compile(pat), member) for pat, member in table.status_patterns]
     objective_re = re.compile(table.objective_pattern) if table.objective_pattern else None
     bound_re = re.compile(table.bound_pattern) if table.bound_pattern else None
@@ -204,18 +202,19 @@ class CommandAdapter:
 
     Placeholders {model}, {timelimit}, {seed} and {solout} are substituted
     into the argument template; {model} is the `model.lp` file that `solve`
-    writes for it. The CHROMATIC_SOLVER environment variable
-    overrides the executable path. The child runs in the solve's working
-    directory with the parent's environment, plus any `env` pairs. It is
-    killed 10 seconds past the time limit; whatever solution file exists by
-    then is still parsed.
+    writes for it. The child runs `executable` as given, in the solve's
+    working directory with the parent's environment. It is killed 10 seconds
+    past the time limit; whatever solution file exists by then is still
+    parsed. The log (stdout, then stderr) is read only when the solution
+    file names no status, and the status then comes from the log; where
+    neither names one, it is `timeout_no_solution` if the child was killed,
+    else `error`.
     """
 
     executable: str
     args: tuple[str, ...]
     dialect: str = "chromatic"
     name: str = "command"
-    env: tuple[tuple[str, str], ...] = ()
 
     def argv(self, lp_path: Path, time_limit: float, seed: int, solout: Path) -> list[str]:
         subst = {
@@ -224,18 +223,16 @@ class CommandAdapter:
             "seed": str(seed),
             "solout": str(solout),
         }
-        exe = os.environ.get(ENV_SOLVER_OVERRIDE) or self.executable
-        return [exe] + [arg.format(**subst) for arg in self.args]
+        return [self.executable] + [arg.format(**subst) for arg in self.args]
 
     def solve_model(self, model: MilpModel, lp_path: Path, time_limit: float,
                     seed: int, workdir: Path) -> RawSolve:
         solout = workdir / "model.sol"
         argv = self.argv(lp_path, time_limit, seed, solout)
-        env = {**os.environ, **dict(self.env)} if self.env else None
         timed_out = False
         try:
             proc = subprocess.run(argv, capture_output=True, text=True, cwd=workdir,
-                                  env=env, timeout=time_limit + KILL_GRACE_SECONDS)
+                                  timeout=time_limit + KILL_GRACE_SECONDS)
             log = proc.stdout + ("\n" + proc.stderr if proc.stderr else "")
         except FileNotFoundError as exc:
             raise SolverNotFoundError(f"solver executable not found: {argv[0]}") from exc
@@ -248,10 +245,10 @@ class CommandAdapter:
         sol_text = solout.read_text(encoding="utf-8") if solout.exists() else ""
         try:
             parsed = parse_solution(sol_text, self.dialect)
-            if parsed.status is None or parsed.objective is None:
+            if parsed.status is None:
                 from_log = parse_solution(log, self.dialect)
                 parsed = RawSolve(
-                    parsed.status or from_log.status,
+                    from_log.status,
                     parsed.objective if parsed.objective is not None else from_log.objective,
                     parsed.bound if parsed.bound is not None else from_log.bound,
                     parsed.values or from_log.values)
@@ -266,22 +263,22 @@ class CommandAdapter:
 def builtin_subprocess_adapter() -> CommandAdapter:
     """The bundled solver, but driven through the real subprocess path.
 
-    The child runs `python -m chromatic.lpsolve` under this interpreter in
-    the solve's temporary working directory, so a relative PYTHONPATH entry
-    would no longer resolve there. The absolute root of this very package
-    copy goes first on the child's PYTHONPATH; the child imports the same
-    code as the parent, installed or not.
+    The child runs `lpsolve.main` once under this interpreter, through
+    `python -c`, in the solve's temporary working directory, where a
+    relative PYTHONPATH entry no longer resolves. So the code first puts the
+    absolute root of this very package copy on `sys.path`; the child imports
+    the same code as the parent, installed or not.
     """
     package_root = str(Path(__file__).resolve().parents[1])
-    inherited = os.environ.get("PYTHONPATH")
-    pythonpath = os.pathsep.join([package_root, inherited] if inherited else [package_root])
+    code = (f"import sys; sys.path.insert(0, {package_root!r}); import chromatic.lpsolve; "
+            "sys.exit(chromatic.lpsolve.main())")
     return CommandAdapter(
         executable=sys.executable,
-        args=("-m", "chromatic.lpsolve", "{model}", "--out", "{solout}",
-              "--time-limit", "{timelimit}"),
+        # the code is an argv template too: literal braces are doubled
+        args=("-c", code.replace("{", "{{").replace("}", "}}"), "{model}",
+              "--out", "{solout}", "--time-limit", "{timelimit}"),
         dialect="chromatic",
         name="builtin-sub",
-        env=(("PYTHONPATH", pythonpath),),
     )
 
 
@@ -294,8 +291,8 @@ BUILTIN_ADAPTERS = ("builtin", "builtin-sub")
 def load_adapter(spec: str):
     """Resolve an adapter name or a JSON adapter-config file path.
 
-    JSON schema: {"name": str, "path": str, "args": [str...], "dialect": str}
-    with the {model}/{timelimit}/{seed}/{solout} placeholders inside args.
+    JSON schema: {"name": str, "path": str, "args": [str...], "dialect": str}, with
+    {model}/{timelimit}/{seed}/{solout} in args; a set CHROMATIC_SOLVER replaces `path`.
     """
     if spec == "builtin":
         return BuiltinAdapter()
@@ -321,8 +318,8 @@ def load_adapter(spec: str):
             raise ValueError(f"unknown dialect {dialect!r}")
     except ValueError as exc:
         raise ValueError(f"adapter config {spec}: {exc}") from None
-    return CommandAdapter(executable=config["path"], args=tuple(args), dialect=dialect,
-                          name=config.get("name", path.stem))
+    return CommandAdapter(executable=os.environ.get("CHROMATIC_SOLVER") or config["path"],
+                          args=tuple(args), dialect=dialect, name=config.get("name", path.stem))
 
 
 # ---------------------------------------------------------------------------
@@ -368,24 +365,18 @@ def solve(model: MilpModel, adapter=None, time_limit: float = 3600.0, seed: int 
                   SolveStatus.FEASIBLE: SolveStatus.TIMEOUT_NO_SOLUTION}.get(status, status)
     if status is SolveStatus.ERROR:  # an error row claims no bound
         return SolveResult(status, None, None, None, wall, log=raw.log)
-    offset = model.offset
-    values = None
-    upper = None
-    lower = None
+    values = upper = lower = None
     if status in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE):
         try:
             values = {name: binary_value(name, value) for name, value in raw.values.items()}
         except ExtractionError as exc:
             return SolveResult(SolveStatus.ERROR, None, None, None, wall,
                                log=f"{exc}\n{raw.log}")
-        objective = raw.objective
-        if objective is None:
-            objective = objective_value(model, values, with_offset=False)
-        upper = round(objective) + offset
+        upper = round(objective_value(model, values))
     if status is SolveStatus.OPTIMAL:
         lower = upper
     elif raw.bound is not None and math.isfinite(raw.bound):
-        lower = integral_floor_bound(raw.bound) + offset
+        lower = integral_floor_bound(raw.bound) + model.offset
     if lower is not None and upper is not None and lower > upper:
         lower = upper
     return SolveResult(status=status, lower_bound=lower, upper_bound=upper,

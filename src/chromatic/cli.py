@@ -48,6 +48,14 @@ def _load_graph(path: str) -> Graph:
     return parse_dimacs(Path(path).read_text(encoding="utf-8"))
 
 
+def seconds(text: str) -> float:
+    """A time limit or budget: a finite number of seconds above zero."""
+    value = float(text)
+    if not 0 < value < float("inf"):  # nan fails both comparisons
+        raise argparse.ArgumentTypeError(f"expected a finite number of seconds > 0, got {text}")
+    return value
+
+
 def _config_from_args(args) -> RunConfig:
     """The run's settings; `--desk-scale` changes only the limits not given."""
     load_adapter(args.adapter)  # validate the spec before any work happens
@@ -64,9 +72,9 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
                      help="formulation to run (repeatable; default pop2)")
     sub.add_argument("--clique", choices=("c", "e"), default="e",
                      help="clique search objective: size (c) or fixing count (e)")
-    sub.add_argument("--time-limit", type=float, metavar="S",
+    sub.add_argument("--time-limit", type=seconds, metavar="S",
                      help="solver time limit per model (default 3600, or 60 with --desk-scale)")
-    sub.add_argument("--clique-budget", type=float, metavar="S",
+    sub.add_argument("--clique-budget", type=seconds, metavar="S",
                      help="wall-time budget for the randomized clique search "
                           "(default 60, or 5 with --desk-scale)")
     sub.add_argument("--seed", type=int, default=0)
@@ -83,6 +91,8 @@ def cmd_solve(args) -> int:
     try:
         g = _load_graph(args.instance)
         cfg = _config_from_args(args)
+        if args.out:
+            args.out.mkdir(parents=True, exist_ok=True)
     except (OSError, DimacsError, SolverNotFoundError, ValueError) as exc:
         print(f"chromatic solve: {exc}", file=sys.stderr)
         return 2
@@ -106,7 +116,6 @@ def cmd_solve(args) -> int:
         if record.error:
             print(f"        {record.error}")
     if args.out:
-        args.out.mkdir(parents=True, exist_ok=True)
         csv_path = args.out / f"{name}.csv"
         csv_path.write_text(records_csv(outcome.records), encoding="utf-8")
         for model_name, coloring in outcome.colorings.items():
@@ -133,6 +142,8 @@ def cmd_bench(args) -> int:
     try:
         manifest = read_manifest(manifest_path)
         cfg = _config_from_args(args)
+        if args.out:
+            args.out.parent.mkdir(parents=True, exist_ok=True)
     except (OSError, KeyError, ValueError, SolverNotFoundError) as exc:
         print(f"chromatic bench: {exc}", file=sys.stderr)
         return 2
@@ -144,7 +155,6 @@ def cmd_bench(args) -> int:
     records_text = records_csv(records)
     summary_text = summary_csv(summary)
     if args.out:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(records_text, encoding="utf-8")
         args.out.with_suffix(".summary.csv").write_text(summary_text, encoding="utf-8")
         print(f"wrote {args.out} and {args.out.with_suffix('.summary.csv')}")

@@ -15,9 +15,9 @@ from HiGHS to the CSV row. The solving core is `solve_parsed`: it takes a
 `MilpModel`, stacks its row blocks into one sparse matrix with numpy, sets
 the column bounds, calls HiGHS, maps its status code to a `SolveStatus`
 member and collects the values. Both routes call it: the LP-file route on
-what `parse_lp` reads (`solve_lp_text`: this script, the `builtin-sub`
-adapter) and the in-process `builtin` adapter on the built model itself,
-with no LP text written or parsed. Both give HiGHS the same arrays.
+what `parse_lp` reads (`solve_lp_text`: this script, whose `main` the
+`builtin-sub` child runs once) and the in-process `builtin` adapter on the
+built model itself, with no LP text. Both give HiGHS the same arrays.
 """
 from __future__ import annotations
 

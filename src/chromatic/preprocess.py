@@ -89,8 +89,6 @@ def remove_dominated(g: Graph) -> ReducedInstance:
     while changed:
         changed = False
         for u in list(alive):
-            if u not in alive:
-                continue
             nu = adj[u]
             dominator = -1
             for v in alive:

@@ -372,10 +372,48 @@ class TestSubprocessAdapter:
                         "--seed", "7", "--write", str(tmp_path / "m.sol")]
 
     def test_env_override_changes_executable(self, tmp_path, monkeypatch):
-        adapter = CommandAdapter(executable="missing-solver", args=("{model}",))
+        # the override replaces a config's path where it is read; argv runs it as given
+        config = tmp_path / "solver.json"
+        config.write_text(json.dumps({"path": "missing-solver", "args": ["{model}"]}))
         monkeypatch.setenv("CHROMATIC_SOLVER", "/usr/bin/env")
+        adapter = load_adapter(str(config))
+        assert adapter.executable == "/usr/bin/env"
         argv = adapter.argv(tmp_path / "m.lp", 10.0, 0, tmp_path / "m.sol")
         assert argv[0] == "/usr/bin/env"
+        assert CommandAdapter(executable="missing-solver", args=()).argv(
+            tmp_path / "m.lp", 10.0, 0, tmp_path / "m.sol") == ["missing-solver"]
+
+    def test_env_override_leaves_bundled_child_alone(self, monkeypatch):
+        monkeypatch.setenv("CHROMATIC_SOLVER", "/definitely/not/a/solver")
+        model = build_pop(families.cycle(5), 3, anchor=0)
+        result = solve(model, adapter=load_adapter("builtin-sub"), time_limit=60)
+        assert result.status is SolveStatus.OPTIMAL, result.log
+        assert result.upper_bound == 3
+
+    @pytest.mark.parametrize("case, expected", [
+        ("infeasible-k3-pop", SolveStatus.INFEASIBLE),
+        ("optimal-c5-ass", SolveStatus.OPTIMAL),
+    ], ids=["infeasible-k3-pop", "optimal-c5-ass"])
+    def test_same_answer_as_in_process_route(self, case, expected):
+        if case == "infeasible-k3-pop":
+            model = build_pop(families.complete(3), 2, anchor=0)
+        else:
+            inst = preprocess_pipeline(families.cycle(5), seed=1, clique_time_budget=0.5)
+            model = apply_clique_fixings(build_formulation("ass", inst), inst)
+        results = [solve(model, adapter=adapter, time_limit=60)
+                   for adapter in (BuiltinAdapter(), builtin_subprocess_adapter())]
+        answers = {(r.status, r.lower_bound, r.upper_bound) for r in results}
+        assert len(answers) == 1, [r.log for r in results]
+        assert results[0].status is expected
+
+    def test_child_runs_lpsolve_once_without_warning(self):
+        adapter = builtin_subprocess_adapter()
+        assert "-m" not in adapter.args
+        result = solve(build_pop(families.cycle(5), 3, anchor=0), adapter=adapter,
+                       time_limit=60)
+        assert result.status is SolveStatus.OPTIMAL
+        assert "Warning" not in result.log
+        assert result.log.count("chromatic-lps:") == 1
 
     def test_hung_solver_killed_after_grace(self, tmp_path, monkeypatch):
         monkeypatch.setattr("chromatic.backend.KILL_GRACE_SECONDS", 0.5)
@@ -407,7 +445,7 @@ class TestSubprocessAdapter:
             g = families.complete(2)
             result = solve(build_pop(g, 2, anchor=0), adapter=adapter, time_limit=0.2)
             assert result.status is SolveStatus.FEASIBLE, result.log
-            assert result.upper_bound == 3  # raw 2 plus the ordering model offset
+            assert result.upper_bound == 2  # the incumbent's 2 colours, not the objective line
             assert result.values == {"y_1_0": 1, "y_1_1": 0}
             assert result.log.count("searching") == (2 if chatter else 0)
 
@@ -423,6 +461,21 @@ class TestSubprocessAdapter:
         assert result.status is SolveStatus.TIMEOUT_NO_SOLUTION
         assert result.values is None and result.upper_bound is None
         assert result.lower_bound == 2  # the raw bound 1 plus the ordering model offset
+
+    def test_no_incumbent_status_in_file_is_kept_over_chatty_stdout(self, tmp_path):
+        script = tmp_path / "gave_up.py"
+        script.write_text("import sys\n"
+                          "open(sys.argv[2], 'w').write('status timeout_no_solution\\n"
+                          "bound -inf\\n')\n"
+                          "print('solver: out of time')\n")
+        adapter = CommandAdapter(executable=sys.executable,
+                                 args=(str(script), "{model}", "{solout}"),
+                                 dialect="chromatic")
+        result = solve(build_pop(families.complete(2), 2, anchor=0), adapter=adapter,
+                       time_limit=5)
+        assert result.status is SolveStatus.TIMEOUT_NO_SOLUTION, result.log
+        assert (result.lower_bound, result.upper_bound, result.values) == (None, None, None)
+        assert "out of time" in result.log
 
     def test_optimal_solution_file_without_values_is_an_error_without_bounds(self, tmp_path):
         script = tmp_path / "empty_handed.py"

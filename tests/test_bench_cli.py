@@ -329,6 +329,39 @@ class TestCliCommands:
         assert run_cli(command, str(target), "--adapter", str(adapter)) == 2
         assert f"chromatic {command}: adapter config {adapter}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    @pytest.mark.parametrize("flag", ["--time-limit", "--clique-budget"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    def test_limit_must_be_finite_and_positive(self, tmp_path, capsys, command, flag, value):
+        (tmp_path / "k3.col").write_text(write_dimacs(families.complete(3)))
+        (tmp_path / "manifest.csv").write_text("file,name,n,m,p,seed,class\n"
+                                               "k3.col,k3,3,3,0,0,\n")
+        target = tmp_path / ("k3.col" if command == "solve" else "manifest.csv")
+        with pytest.raises(SystemExit) as raised:
+            run_cli(command, str(target), f"{flag}={value}")
+        assert raised.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: " in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_unusable_out_exits_two_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                     command):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the output location was made")
+
+        monkeypatch.setattr(bench, "solve", no_solve)
+        (tmp_path / "c5.col").write_text(write_dimacs(families.cycle(5)))
+        (tmp_path / "manifest.csv").write_text("file,name,n,m,p,seed,class\n"
+                                               "c5.col,c5,5,5,0,0,\n")
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory\n")
+        target, out = ((tmp_path / "c5.col", taken) if command == "solve"
+                       else (tmp_path / "manifest.csv", taken / "bench.csv"))
+        assert run_cli(command, str(target), "--model", "pop", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert f"chromatic {command}: " in captured.err and captured.out == ""
+        assert taken.read_text() == "a file, not a directory\n"
+
     def test_generate_and_bench_and_verify(self, tmp_path, capsys):
         assert run_cli("generate", "custom", "--n", "9", "--p", "0.4",
                        "--count", "2", "--seed", "4", "--out", str(tmp_path / "set")) == 0
