@@ -9,8 +9,8 @@ benchmark CLI.
 from .backend import (BuiltinAdapter, CommandAdapter, SolveResult, SolveStatus,
                       builtin_subprocess_adapter, load_adapter, parse_solution, solve)
 from .bench import BenchmarkRecord, RunConfig, generate_set, run_bench, solve_instance
-from .graph import (Coloring, Graph, VerifyReport, complement, gnp_random,
-                    parse_dimacs, verify_coloring, write_dimacs)
+from .graph import (Coloring, Graph, VerifyReport, gnp_random, parse_dimacs,
+                    verify_coloring, write_dimacs)
 from .lp import emit_lp, parse_lp
 from .models import (MilpModel, ModelStats, apply_clique_fixings, build_ass,
                      build_ass_s, build_formulation, build_pop, build_pop2,
@@ -29,8 +29,8 @@ __all__ = [
     "SolveStatus", "VerifyReport", "apply_clique_fixings", "build_ass",
     "build_ass_s", "build_formulation", "build_pop", "build_pop2", "build_rep",
     "builtin_subprocess_adapter", "chromatic_number_exact", "clique_objective",
-    "complement", "emit_lp", "encode_coloring", "extract_coloring",
-    "find_clique", "generate_set", "gnp_random", "greedy_upper_bound",
+    "emit_lp", "encode_coloring", "extract_coloring", "find_clique",
+    "generate_set", "gnp_random", "greedy_upper_bound",
     "is_k_colorable", "load_adapter", "model_stats", "parse_dimacs", "parse_lp",
     "parse_solution", "preprocess_pipeline", "random_maximal_clique",
     "remove_dominated", "restore_coloring", "run_bench", "solve",

@@ -31,7 +31,7 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import lpsolve
@@ -58,10 +58,6 @@ class SolveResult:
     values: dict[str, int] | None
     wall_time: float
     log: str = ""
-
-    @property
-    def solved(self) -> bool:
-        return self.status is SolveStatus.OPTIMAL
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +134,10 @@ def parse_solution(text: str, dialect: str) -> RawSolve:
     others skim logs for whatever matches. Raises SolutionParseError only --
     arbitrary input must never escape as another exception.
     """
-    table = DIALECTS[dialect]
+    return _scan(text, DIALECTS[dialect])
+
+
+def _scan(text: str, table: Dialect) -> RawSolve:
     status_res = [(re.compile(pat), member) for pat, member in table.status_patterns]
     objective_re = re.compile(table.objective_pattern) if table.objective_pattern else None
     bound_re = re.compile(table.bound_pattern) if table.bound_pattern else None
@@ -206,9 +205,10 @@ class CommandAdapter:
     working directory with the parent's environment. It is killed 10 seconds
     past the time limit; whatever solution file exists by then is still
     parsed. The log (stdout, then stderr) is read only when the solution
-    file names no status, and the status then comes from the log; where
-    neither names one, it is `timeout_no_solution` if the child was killed,
-    else `error`.
+    file names no status, and the status then comes from the log, where
+    lines the dialect does not know are skipped, even for a strict dialect;
+    where neither names one, it is `timeout_no_solution` if the child was
+    killed, else `error`.
     """
 
     executable: str
@@ -245,15 +245,15 @@ class CommandAdapter:
         sol_text = solout.read_text(encoding="utf-8") if solout.exists() else ""
         try:
             parsed = parse_solution(sol_text, self.dialect)
-            if parsed.status is None:
-                from_log = parse_solution(log, self.dialect)
-                parsed = RawSolve(
-                    from_log.status,
-                    parsed.objective if parsed.objective is not None else from_log.objective,
-                    parsed.bound if parsed.bound is not None else from_log.bound,
-                    parsed.values or from_log.values)
         except SolutionParseError:
             return RawSolve(SolveStatus.ERROR, None, None, None, log=log + "\n" + sol_text)
+        if parsed.status is None:
+            from_log = _scan(log, replace(DIALECTS[self.dialect], strict=False))
+            parsed = RawSolve(
+                from_log.status,
+                parsed.objective if parsed.objective is not None else from_log.objective,
+                parsed.bound if parsed.bound is not None else from_log.bound,
+                parsed.values or from_log.values)
 
         status = parsed.status or (SolveStatus.TIMEOUT_NO_SOLUTION if timed_out
                                    else SolveStatus.ERROR)

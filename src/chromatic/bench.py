@@ -299,18 +299,3 @@ def summary_csv(summary_rows: list[dict[str, str]]) -> str:
     for row in summary_rows:
         writer.writerow(row)
     return buffer.getvalue()
-
-
-def strip_time_columns(csv_text: str) -> str:
-    """Drop wall-clock columns so reproducibility checks can compare bytes."""
-    time_names = {"time", "prep_time", "mean_time_solved"}
-    reader = csv.reader(io.StringIO(csv_text))
-    rows = list(reader)
-    if not rows:
-        return ""
-    keep = [i for i, column in enumerate(rows[0]) if column not in time_names]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    for row in rows:
-        writer.writerow([row[i] for i in keep])
-    return buffer.getvalue()

@@ -144,6 +144,9 @@ def cmd_bench(args) -> int:
         cfg = _config_from_args(args)
         if args.out:
             args.out.parent.mkdir(parents=True, exist_ok=True)
+            for path in (args.out, args.out.with_suffix(".summary.csv")):
+                if path.is_dir():
+                    raise ValueError(f"{path} is a directory")
     except (OSError, KeyError, ValueError, SolverNotFoundError) as exc:
         print(f"chromatic bench: {exc}", file=sys.stderr)
         return 2

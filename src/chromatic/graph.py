@@ -58,11 +58,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def non_edges(self) -> tuple[tuple[int, int], ...]:
-        """Canonical list of unordered non-adjacent distinct pairs."""
-        return tuple((u, v) for u in range(self.n) for v in range(u + 1, self.n)
-                     if v not in self.adjacency[u])
-
 
 @dataclass(frozen=True)
 class Coloring:
@@ -151,11 +146,6 @@ def write_dimacs(g: Graph, comments: Sequence[str] = ()) -> str:
     out.append(f"p edge {g.n} {g.m}")
     out.extend(f"e {u + 1} {v + 1}" for (u, v) in g.edges)
     return "\n".join(out) + "\n"
-
-
-def complement(g: Graph) -> Graph:
-    """Graph on the same vertices whose edges are exactly the non-edges of g."""
-    return Graph.from_edges(g.n, g.non_edges())
 
 
 def gnp_random(n: int, p: float, seed: int) -> Graph:

@@ -331,7 +331,7 @@ def parse_lp(text: str) -> MilpModel:
                     coefs=np.array(_coefficients(terms), dtype=float),
                     lo=np.where(np.isin(senses_array, _LE), -INF, values),
                     hi=np.where(np.isin(senses_array, _GE), INF, values),
-                    dense_width=None, names=lambda: names_of_rows)
+                    names=lambda: names_of_rows)
     return MilpModel(kind="lp", variables=variables, blocks=(rows,),
                      objective=tuple(objective), offset=float(offsets[-1]) if offsets else 0.0,
                      meta={}, bounds=bounds, num_binary=num_binary,

@@ -24,14 +24,9 @@ order (vertex-major, then color), so a column is plain index arithmetic.
 A model's rows live in `RowBlock`s, one per constraint family (and, for
 `rep`, per vertex, to keep the textbook row order): integer column
 indices, coefficients and row bounds in compressed-row arrays, built with
-numpy over edges x colors. Row names (`edge_{u}_{v}_{i}`, ...) are
-formatted only when asked for, by `emit_lp` and `MilpModel.constraints`.
-Each block carries its family tag and the coefficient count of the
-family's textbook row (`dense_width`). The latter exists because the
-partial-ordering substitution drops eliminated variables from the stored
-terms, while density comparisons between formulations are conventionally
-made on the un-eliminated forms (4 coefficients per pop edge row, 3 per
-pop2 linking row, 2 per pop2 edge row).
+numpy over edges x colors, with the family tag. Row names
+(`edge_{u}_{v}_{i}`, ...) are formatted only when asked for, by `emit_lp`
+and `check_feasible`.
 """
 from __future__ import annotations
 
@@ -68,9 +63,8 @@ class RowBlock:
 
     Row r has the terms cols[indptr[r]:indptr[r + 1]] with the matching
     coefs, and reads lo[r] <= activity <= hi[r]: lo == hi for an equality,
-    one infinite side for an inequality. `dense_width` is the coefficient
-    count of one row in the family's textbook form; None means the stored
-    terms. `names()` formats the row names on demand.
+    one infinite side for an inequality. `names()` formats the row names
+    on demand.
     """
 
     family: str
@@ -79,27 +73,10 @@ class RowBlock:
     coefs: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    dense_width: int | None
     names: Callable[[], list[str]]
 
     def __len__(self) -> int:
         return len(self.lo)
-
-    def nnz(self, dense: bool = False) -> int:
-        if dense and self.dense_width is not None:
-            return self.dense_width * len(self)
-        return len(self.cols)
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """One row by name, as `MilpModel.constraints` derives it from a block."""
-
-    name: str
-    terms: tuple[tuple[str, float], ...]
-    sense: str  # "<=", "=" or ">="
-    rhs: float
-    block: str
 
 
 def row_sense(lo: float, hi: float) -> tuple[str, float]:
@@ -164,27 +141,6 @@ class MilpModel:
     def num_rows(self) -> int:
         return sum(len(block) for block in self.blocks)
 
-    def nnz(self, block: str | None = None, dense: bool = False) -> int:
-        """Coefficient count, optionally restricted to one constraint family.
-
-        With dense=True, counts the textbook form of each row instead of the
-        stored (post-substitution) terms.
-        """
-        return sum(b.nnz(dense) for b in self.blocks if block is None or b.family == block)
-
-    @property
-    def constraints(self) -> tuple[Constraint, ...]:
-        """Every row by name, derived from the blocks on each access."""
-        out = []
-        for block in self.blocks:
-            cols, coefs, ptr = block.cols.tolist(), block.coefs.tolist(), block.indptr.tolist()
-            rows = zip(block.names(), ptr, ptr[1:], block.lo.tolist(), block.hi.tolist())
-            for name, start, stop, lo, hi in rows:
-                terms = tuple(zip([self.variables[j] for j in cols[start:stop]],
-                                  coefs[start:stop]))
-                out.append(Constraint(name, terms, *row_sense(lo, hi), block.family))
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class ModelStats:
@@ -194,9 +150,10 @@ class ModelStats:
 
 
 def model_stats(m: MilpModel) -> ModelStats:
-    """Exact counts; fixed variables do not count as free dimensions."""
-    return ModelStats(num_vars=len(m.variables) - len(m.fixings),
-                      num_constraints=m.num_rows, num_nonzeros=m.nnz())
+    """Exact counts of the stored rows and terms; fixed variables do not
+    count as free dimensions."""
+    return ModelStats(num_vars=len(m.variables) - len(m.fixings), num_constraints=m.num_rows,
+                      num_nonzeros=sum(len(block.cols) for block in m.blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +175,7 @@ def rv(u: int, v: int) -> str:
     return f"r_{u}_{v}"
 
 
-def _block(family: str, groups: np.ndarray, template, name: str, *keys: np.ndarray,
-           dense_width: int | None = None) -> RowBlock:
+def _block(family: str, groups: np.ndarray, template, name: str, *keys: np.ndarray) -> RowBlock:
     """Rows from one template repeated over the rows of `groups` (2-D).
 
     `template` lists one group's rows as (terms, lo, hi, suffix); a term
@@ -246,7 +202,7 @@ def _block(family: str, groups: np.ndarray, template, name: str, *keys: np.ndarr
         coefs=np.tile(np.array([coef for _, _, coef in terms], dtype=float), count),
         lo=np.tile(np.array([row[1] for row in template], dtype=float), count),
         hi=np.tile(np.array([row[2] for row in template], dtype=float), count),
-        dense_width=dense_width, names=names)
+        names=names)
 
 
 def _edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -334,8 +290,7 @@ def _pop_edge_block(u: np.ndarray, v: np.ndarray, H: int) -> RowBlock:
     template += [([(0, i - 2, 1.0), (1, i - 2, 1.0), (0, i - 1, -1.0), (1, i - 1, -1.0)],
                   -INF, 1.0, str(i)) for i in range(2, H)]
     template.append(([(0, H - 2, 1.0), (1, H - 2, 1.0)], -INF, 1.0, str(H)))
-    return _block("edge", np.column_stack([u * K, v * K]), template, "edge_{}_{}_", u, v,
-                  dense_width=4)
+    return _block("edge", np.column_stack([u * K, v * K]), template, "edge_{}_{}_", u, v)
 
 
 def _pop_order_block(n: int, H: int) -> RowBlock:
@@ -388,7 +343,7 @@ def build_pop2(g: Graph, upper_bound: int, anchor: int) -> MilpModel:
                       for i in range(2, H)]
     link_template.append(([(0, H - 1, 1.0), (1, H - 2, -1.0)], 0.0, 0.0, str(H)))
     link = _block("link", np.column_stack([n * K + vertices * H, vertices * K]), link_template,
-                  "link_{}_", vertices, dense_width=3)
+                  "link_{}_", vertices)
     u, v = _edge_arrays(g)
     edge = _block("edge", np.column_stack([n * K + u * H, n * K + v * H]),
                   [([(0, i, 1.0), (1, i, 1.0)], -INF, 1.0, str(i + 1)) for i in range(H)],
@@ -473,7 +428,7 @@ def build_rep(g: Graph, first=()) -> MilpModel:
                        cols=np.concatenate([columns[cover_u, cover_v],
                                             np.arange(n)])[rows_by_owner],
                        coefs=np.ones(len(owner)), lo=np.ones(n), hi=np.full(n, INF),
-                       dense_width=None, names=lambda: [f"cover_{v}" for v in range(n)])]
+                       names=lambda: [f"cover_{v}" for v in range(n)])]
 
     eu, ev = _edge_arrays(g)
     conflict_u, conflict_e = np.nonzero(later[:, eu] & later[:, ev])

@@ -1,7 +1,8 @@
-"""Shared Hypothesis profile, the fixtures directory and the NullAdapter test double."""
+"""Shared Hypothesis profile, fixtures directory, row readers and NullAdapter double."""
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -9,7 +10,7 @@ from chromatic import bench
 from chromatic.backend import RawSolve, SolveStatus
 from chromatic.graph import Coloring
 from chromatic.models import (MilpModel, ModelError, check_feasible, encode_coloring,
-                              objective_value)
+                              objective_value, row_sense)
 from chromatic.oracle import chromatic_number_exact
 
 settings.register_profile(
@@ -33,6 +34,25 @@ def fixtures_dir(request):
     if override:
         return pathlib.Path(override)
     return pathlib.Path(__file__).parent / "fixtures"
+
+
+def stacked_rows(m: MilpModel) -> tuple[list, ...]:
+    """All blocks end to end: row names, row widths, columns, coefficients, lo, hi."""
+    parts = zip(*((np.diff(b.indptr), b.cols, b.coefs, b.lo, b.hi) for b in m.blocks))
+    return ([name for b in m.blocks for name in b.names()],
+            *(np.concatenate(part).tolist() for part in parts))
+
+
+def row(m: MilpModel, name: str):
+    """The (variable, coefficient) terms, sense and right-hand side of one named row."""
+    names, widths, cols, coefs, lo, hi = stacked_rows(m)
+    r = names.index(name)
+    span = slice(sum(widths[:r]), sum(widths[:r + 1]))
+    return tuple(zip([m.variables[j] for j in cols[span]], coefs[span])), *row_sense(lo[r], hi[r])
+
+
+def family_rows(m: MilpModel, family: str) -> int:
+    return sum(len(b) for b in m.blocks if b.family == family)
 
 
 @dataclass(frozen=True)

@@ -416,16 +416,22 @@ class TestSubprocessAdapter:
         assert result.log.count("chromatic-lps:") == 1
 
     def test_hung_solver_killed_after_grace(self, tmp_path, monkeypatch):
+        # a silent child and one that printed progress before it was killed:
+        # a log line the strict dialect does not know is not an error
         monkeypatch.setattr("chromatic.backend.KILL_GRACE_SECONDS", 0.5)
-        script = tmp_path / "sleepy_solver.py"
-        script.write_text("import time\ntime.sleep(600)\n")
-        adapter = CommandAdapter(executable=sys.executable,
-                                 args=(str(script), "{model}", "{solout}"),
-                                 dialect="chromatic")
-        g = families.complete(2)
-        result = solve(build_pop(g, 2, anchor=0), adapter=adapter, time_limit=0.2)
-        assert result.status is SolveStatus.TIMEOUT_NO_SOLUTION
-        assert result.wall_time < 30
+        chatty = ("import sys\nprint('searching', flush=True)\n"
+                  "print('searching', file=sys.stderr, flush=True)\n")
+        for chatter in ("", chatty):
+            script = tmp_path / "sleepy_solver.py"
+            script.write_text(chatter + "import time\ntime.sleep(600)\n")
+            adapter = CommandAdapter(executable=sys.executable,
+                                     args=(str(script), "{model}", "{solout}"),
+                                     dialect="chromatic")
+            g = families.complete(2)
+            result = solve(build_pop(g, 2, anchor=0), adapter=adapter, time_limit=0.2)
+            assert result.status is SolveStatus.TIMEOUT_NO_SOLUTION, result.log
+            assert result.wall_time < 30
+            assert ("searching" in result.log) == bool(chatter)
 
     def test_partial_solution_from_killed_solver_still_parsed(self, tmp_path, monkeypatch):
         # a silent child and one that printed before it was killed: the

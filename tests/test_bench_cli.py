@@ -8,8 +8,7 @@ import pytest
 from chromatic import bench, cli, families
 from chromatic.bench import (BenchmarkRecord, ManifestRow, RunConfig, generate_set,
                              read_manifest, records_csv, run_bench,
-                             solve_instance, strip_time_columns, summarize,
-                             summary_csv)
+                             solve_instance, summarize, summary_csv)
 from chromatic.graph import (Coloring, ColoringError, Graph, parse_dimacs, verify_coloring,
                              write_dimacs)
 from chromatic.models import ModelError
@@ -181,7 +180,7 @@ class TestBenchAndSummary:
         serial = run_bench(manifest, base, cfg)
         parallel = run_bench(manifest, base, RunConfig(models=("pop",), time_limit=30,
                                                        clique_time_budget=0.5, jobs=2))
-        strip = lambda recs: strip_time_columns(records_csv(recs))
+        strip = lambda recs: records_csv([replace(r, time=0.0, prep_time=0.0) for r in recs])
         assert strip(serial) == strip(parallel)
 
     def test_sweep_continues_past_broken_instance_file(self, tmp_path):
@@ -220,14 +219,6 @@ class TestBenchAndSummary:
         header, row = text.strip().splitlines()
         assert header == "instance,n,m,class,model,clique,lb,ub,time,status,seed,prep_time"
         assert row == "x,5,4,NP-m,rep,c,-inf,inf,1.00,timeout_no_solution,7,0.50"
-
-    def test_strip_time_columns(self):
-        record = BenchmarkRecord(instance="x", n=5, m=4, model="rep", clique_mode="c",
-                                 lb=1, ub=1, time=1.23, status="optimal", seed=7,
-                                 prep_time=0.5)
-        stripped = strip_time_columns(records_csv([record]))
-        assert "1.23" not in stripped and "0.50" not in stripped
-        assert stripped.splitlines()[0] == "instance,n,m,class,model,clique,lb,ub,status,seed"
         assert summary_csv(summarize([], [record]))  # shape sanity
 
 
@@ -343,9 +334,12 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert f"argument {flag}: " in captured.err and captured.out == ""
 
-    @pytest.mark.parametrize("command", ["solve", "bench"])
+    @pytest.mark.parametrize("command, out_name, in_the_way", [
+        ("solve", "taken", "taken"), ("bench", "taken/bench.csv", "taken"),
+        ("bench", "directory", "directory"), ("bench", "bench.csv", "bench.summary.csv")],
+        ids=["solve", "bench", "bench-into-directory", "bench-summary-into-directory"])
     def test_unusable_out_exits_two_before_any_solve(self, tmp_path, capsys, monkeypatch,
-                                                     command):
+                                                     command, out_name, in_the_way):
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the output location was made")
 
@@ -355,12 +349,18 @@ class TestCliCommands:
                                                "c5.col,c5,5,5,0,0,\n")
         taken = tmp_path / "taken"
         taken.write_text("a file, not a directory\n")
-        target, out = ((tmp_path / "c5.col", taken) if command == "solve"
-                       else (tmp_path / "manifest.csv", taken / "bench.csv"))
+        for directory in ("directory", "bench.summary.csv"):
+            (tmp_path / directory).mkdir()
+        target = tmp_path / ("c5.col" if command == "solve" else "manifest.csv")
+        out = tmp_path / out_name
         assert run_cli(command, str(target), "--model", "pop", "--out", str(out)) == 2
         captured = capsys.readouterr()
         assert f"chromatic {command}: " in captured.err and captured.out == ""
+        assert str(tmp_path / in_the_way) in captured.err
         assert taken.read_text() == "a file, not a directory\n"
+        assert not (tmp_path / "bench.csv").exists()
+        for directory in ("directory", "bench.summary.csv"):
+            assert list((tmp_path / directory).iterdir()) == []
 
     def test_generate_and_bench_and_verify(self, tmp_path, capsys):
         assert run_cli("generate", "custom", "--n", "9", "--p", "0.4",

@@ -3,8 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chromatic.graph import (Coloring, ColoringError, DimacsError, Graph,
-                             complement, gnp_random, parse_dimacs,
-                             verify_coloring, write_dimacs)
+                             gnp_random, parse_dimacs, verify_coloring,
+                             write_dimacs)
 from chromatic import families
 
 
@@ -111,24 +111,6 @@ class TestWriteDimacs:
     @given(small_graphs())
     def test_round_trip_property(self, g):
         assert parse_dimacs(write_dimacs(g)) == g
-
-
-class TestComplement:
-    def test_complete_graph(self):
-        assert complement(families.complete(4)).edges == ()
-
-    def test_single_edge_on_three(self):
-        g = Graph.from_edges(3, [(0, 1)])
-        assert complement(g).edges == ((0, 2), (1, 2))
-
-    def test_edge_count_identity(self):
-        g = gnp_random(20, 0.3, seed=1)
-        assert complement(g).m == 190 - g.m
-
-    @given(small_graphs())
-    def test_involution(self, g):
-        assert complement(complement(g)) == g
-        assert g.m + complement(g).m == g.n * (g.n - 1) // 2
 
 
 class TestGnpRandom:

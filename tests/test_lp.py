@@ -13,6 +13,7 @@ from chromatic.models import (apply_clique_fixings, build_ass, build_ass_s,
                               build_formulation, build_pop, build_pop2,
                               build_rep, check_feasible, model_stats)
 from chromatic.preprocess import greedy_upper_bound, preprocess_pipeline
+from conftest import row, stacked_rows
 
 
 def random_model(seed: int):
@@ -91,9 +92,9 @@ class TestParseBack:
         assert parsed.minimize
         assert parsed.offset == model.offset
         assert parsed.objective == model.objective
-        assert [(c.name, c.terms, c.sense, c.rhs) for c in parsed.constraints] == \
-            [(c.name, c.terms, c.sense, c.rhs) for c in model.constraints]
+        assert [block.family for block in parsed.blocks] == ["lp"]
         assert parsed.variables == model.variables
+        assert stacked_rows(parsed) == stacked_rows(model)
         assert parsed.num_binary == model.num_binary == len(model.variables)
         assert parsed.bounds == model.bounds
         assert parsed.fixings == model.fixings
@@ -113,8 +114,7 @@ class TestParseBack:
         def content(m):
             # repr, unlike ==, tells -0.0 from 0.0
             return repr((m.kind, m.variables, m.objective, m.offset, sorted(m.bounds.items()),
-                         m.num_binary, m.minimize,
-                         [(c.name, c.terms, c.sense, c.rhs) for c in m.constraints]))
+                         m.num_binary, m.minimize, stacked_rows(m)))
 
         parsed = parse_lp(text)
         assert content(parse_lp(emit_lp(parsed))) == content(parsed)
@@ -139,9 +139,9 @@ class TestParseBack:
         text = emit_lp(model)
         assert all(len(line) <= 200 for line in text.splitlines())
         parsed = parse_lp(text)
-        use_rows = [c for c in parsed.constraints if c.name == "use_1"]
-        assert len(use_rows) == 1
-        assert len(use_rows[0].terms) == 1 + g.n
+        assert parsed.blocks[0].names().count("use_1") == 1
+        terms, _, _ = row(parsed, "use_1")
+        assert len(terms) == 1 + g.n
 
 
 class TestParserFlexibility:
@@ -152,18 +152,19 @@ class TestParserFlexibility:
                 "BINARY\n x y\nEND\n")
         parsed = parse_lp(text)
         assert parsed.objective == (("x", 1.0), ("y", 2.0))
-        assert parsed.constraints[0].sense == "<="
+        assert row(parsed, "c1")[1] == "<="
         assert parsed.bounds == {"x": (1.0, 1.0)}
 
     def test_unnamed_constraint(self):
         parsed = parse_lp("Minimize\n x\nSubject To\n x + y >= 1\nEnd\n")
-        assert parsed.constraints[0].name == "c0"
+        assert parsed.blocks[0].names()[0] == "c0"
 
     def test_two_unnamed_constraints(self):
         parsed = parse_lp("Minimize\n x\nSubject To\n x + y >= 1\n x - y <= 0\nEnd\n")
-        assert [(c.name, c.terms, c.sense, c.rhs) for c in parsed.constraints] == [
-            ("c0", (("x", 1.0), ("y", 1.0)), ">=", 1.0),
-            ("c1", (("x", 1.0), ("y", -1.0)), "<=", 0.0)]
+        assert parsed.blocks[0].names() == ["c0", "c1"]
+        assert [row(parsed, name) for name in ("c0", "c1")] == [
+            ((("x", 1.0), ("y", 1.0)), ">=", 1.0),
+            ((("x", 1.0), ("y", -1.0)), "<=", 0.0)]
 
     def test_inline_comment_stripped(self):
         parsed = parse_lp("Minimize\n obj: x \\ cost\nSubject To\n c: x >= 0\nEnd\n")
@@ -171,8 +172,8 @@ class TestParserFlexibility:
 
     def test_alternative_senses(self):
         parsed = parse_lp("Minimize\n x\nSubject To\n a: x =< 1\n b: x => 0\nEnd\n")
-        assert parsed.constraints[0].sense == "<="
-        assert parsed.constraints[1].sense == ">="
+        assert row(parsed, "a")[1] == "<="
+        assert row(parsed, "b")[1] == ">="
 
 
 class TestParserErrors:
@@ -297,7 +298,7 @@ class TestGrammar:
         column, on a line that bounds it; any other text round-trips."""
         def content(m):
             return (m.minimize, m.variables, m.objective, m.offset, m.bounds, m.num_binary,
-                    [(c.name, c.terms, c.sense, c.rhs) for c in m.constraints])
+                    stacked_rows(m))
 
         try:
             parsed = parse_lp(text)

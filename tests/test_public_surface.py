@@ -1,0 +1,32 @@
+"""The package's public surface: `__all__` is exact, and deleted names stay gone."""
+import importlib
+import pkgutil
+from dataclasses import fields
+
+import pytest
+
+import chromatic
+from chromatic.backend import SolveResult
+from chromatic.graph import Graph
+from chromatic.models import MilpModel, RowBlock
+
+MODULES = [chromatic] + [importlib.import_module(f"chromatic.{info.name}")
+                         for info in pkgutil.iter_modules(chromatic.__path__)]
+
+
+def test_every_exported_name_is_bound_once():
+    assert len(set(chromatic.__all__)) == len(chromatic.__all__)
+    assert [name for name in chromatic.__all__ if not hasattr(chromatic, name)] == []
+
+
+@pytest.mark.parametrize("name", ["complement", "strip_time_columns", "Constraint"])
+def test_deleted_name_is_not_importable(name):
+    assert [module.__name__ for module in MODULES if hasattr(module, name)] == []
+
+
+def test_deleted_members_are_gone():
+    assert not hasattr(MilpModel, "constraints") and not hasattr(MilpModel, "nnz")
+    assert not hasattr(RowBlock, "nnz")
+    assert "dense_width" not in {field.name for field in fields(RowBlock)}
+    assert not hasattr(Graph, "non_edges")
+    assert not hasattr(SolveResult, "solved")
