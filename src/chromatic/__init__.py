@@ -16,9 +16,9 @@ from .models import (MilpModel, ModelStats, apply_clique_fixings, build_ass,
                      build_ass_s, build_formulation, build_pop, build_pop2,
                      build_rep, encode_coloring, extract_coloring, model_stats)
 from .oracle import OracleResult, chromatic_number_exact, is_k_colorable
-from .preprocess import (PreprocessedInstance, ReducedInstance, clique_objective,
-                         find_clique, greedy_upper_bound, preprocess_pipeline,
-                         random_maximal_clique, remove_dominated, restore_coloring)
+from .preprocess import (PreprocessedInstance, ReducedInstance, find_clique,
+                         greedy_upper_bound, preprocess_pipeline, remove_dominated,
+                         restore_coloring)
 
 __version__ = "0.1.0"
 
@@ -28,11 +28,11 @@ __all__ = [
     "PreprocessedInstance", "ReducedInstance", "RunConfig", "SolveResult",
     "SolveStatus", "VerifyReport", "apply_clique_fixings", "build_ass",
     "build_ass_s", "build_formulation", "build_pop", "build_pop2", "build_rep",
-    "builtin_subprocess_adapter", "chromatic_number_exact", "clique_objective",
+    "builtin_subprocess_adapter", "chromatic_number_exact",
     "emit_lp", "encode_coloring", "extract_coloring", "find_clique",
     "generate_set", "gnp_random", "greedy_upper_bound",
     "is_k_colorable", "load_adapter", "model_stats", "parse_dimacs", "parse_lp",
-    "parse_solution", "preprocess_pipeline", "random_maximal_clique",
+    "parse_solution", "preprocess_pipeline",
     "remove_dominated", "restore_coloring", "run_bench", "solve",
     "solve_instance", "verify_coloring", "write_dimacs",
 ]

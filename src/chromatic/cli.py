@@ -12,6 +12,7 @@ from .bench import (RunConfig, generate_set, read_manifest, records_csv,
 from .graph import (Coloring, ColoringError, DimacsError, Graph, parse_dimacs,
                     verify_coloring)
 from .models import FORMULATIONS
+from .preprocess import CLIQUE_BLOCK
 
 
 def write_coloring(c: Coloring, path: Path) -> None:
@@ -75,8 +76,9 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--time-limit", type=seconds, metavar="S",
                      help="solver time limit per model (default 3600, or 60 with --desk-scale)")
     sub.add_argument("--clique-budget", type=seconds, metavar="S",
-                     help="wall-time budget for the randomized clique search "
-                          "(default 60, or 5 with --desk-scale)")
+                     help="wall-time budget for the randomized clique search, checked "
+                          f"between blocks of {CLIQUE_BLOCK} trials, so it can be overrun "
+                          "by up to one block (default 60, or 5 with --desk-scale)")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--adapter", default="builtin",
                      help="builtin | builtin-sub | path to adapter JSON")

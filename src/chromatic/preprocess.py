@@ -3,10 +3,12 @@
 The pipeline: (a) remove dominated vertices to a fixed point, (b) DSATUR
 upper bound H on the reduced graph, (c)/(e) randomized maximal-clique search
 scored either by clique size or by the fixing-count objective
-|Q|*H + |delta(Q)|, then a TabuCol descent that lowers the upper bound one
-color at a time towards |Q|, (d) early exit when the clique size meets the
-upper bound. A dominance restore stack maps any coloring of the reduced graph
-back to the original one without new colors.
+|Q|*H + |delta(Q)|, grown in numpy a block of trials at a time and stopped
+after the first block whose best clique reaches H, then a TabuCol descent
+that lowers the upper bound one color at a time towards |Q|, (d) early exit
+when the clique size meets the upper bound. A dominance restore stack maps
+any coloring of the reduced graph back to the original one without new
+colors.
 """
 from __future__ import annotations
 
@@ -15,10 +17,21 @@ import random
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graph import Coloring, ColoringError, Graph, verify_coloring
 
 DEFAULT_CLIQUE_TIME_BUDGET = 60.0
 CLIQUE_TRIALS_PER_DENSITY = 300
+# Clique-search trials grown side by side, the 32-bit outputs read from a
+# trial's stream at a time, and the outputs a growth step looks at per trial.
+# A draw takes one output plus one per rejection, about 1.5 on average; about
+# one draw in 500 rejects all CLIQUE_LOOKAHEAD and takes another step. A
+# trial re-seeds its stream to read on once fewer than CLIQUE_LOOKAHEAD of
+# its CLIQUE_WORDS are left.
+CLIQUE_BLOCK = 1024
+CLIQUE_WORDS = 64
+CLIQUE_LOOKAHEAD = 8
 # TabuCol's budget per color count tried, in moves, and its tabu tenure: a
 # barred move stays barred for randrange(SPREAD) + PER_CONFLICT * (number of
 # conflicting vertices) moves. A move count, not a time, so H does not depend
@@ -256,38 +269,6 @@ def tabucol(g: Graph, start: Coloring, k: int, rng: random.Random) -> Coloring |
     return None if conflicts else Coloring(tuple(color))
 
 
-def _grow_clique(adjacency, rng: random.Random) -> list[int]:
-    """One randomized maximal clique, members in the order they were drawn.
-
-    Draws `randrange(n)` for the start vertex, then `choice` over the
-    ascending list of vertices adjacent to every member so far, until that
-    list is empty. Filtering the list keeps it ascending, so every draw sees
-    the candidates in sorted order.
-    """
-    start = rng.randrange(len(adjacency))
-    clique = [start]
-    candidates = sorted(adjacency[start])
-    while candidates:
-        v = rng.choice(candidates)
-        clique.append(v)
-        neighbours = adjacency[v]
-        candidates = [u for u in candidates if u in neighbours]
-    return clique
-
-
-def random_maximal_clique(g: Graph, seed: int | random.Random) -> tuple[int, ...]:
-    """Grow a uniformly random maximal clique.
-
-    Equivalent to taking a random maximal independent set of the complement
-    graph, but built directly: start from a random vertex and repeatedly add
-    a random vertex adjacent to everything picked so far.
-    """
-    if g.n < 1:
-        raise ValueError("graph has no vertices")
-    rng = seed if isinstance(seed, random.Random) else random.Random(f"clique:{seed}")
-    return tuple(sorted(_grow_clique(g.adjacency, rng)))
-
-
 def _check_clique(g: Graph, clique) -> None:
     members = tuple(clique)
     for i, u in enumerate(members):
@@ -302,30 +283,92 @@ def boundary_edges(g: Graph, clique) -> tuple[tuple[int, int], ...]:
     return tuple(e for e in g.edges if (e[0] in q) != (e[1] in q))
 
 
-def clique_objective(g: Graph, clique, upper_bound: int, mode: str) -> int:
-    """Score a clique: mode 'c' is its size, mode 'e' is |Q|*H + |delta(Q)|."""
-    _check_clique(g, clique)
-    if mode == "c":
-        return len(tuple(clique))
-    if mode == "e":
-        return len(tuple(clique)) * upper_bound + len(boundary_edges(g, clique))
-    raise ValueError(f"unknown clique objective mode {mode!r}")
+def _read_words(rng: random.Random, stream: str, skip: int) -> bytes:
+    """`CLIQUE_WORDS` successive 32-bit outputs of `stream` after its first
+    `skip`, little-endian: `getrandbits(32 * w)` lays out w outputs in that
+    order, the first in the lowest word."""
+    rng.seed(stream)
+    if skip:
+        rng.getrandbits(32 * skip)
+    return rng.getrandbits(32 * CLIQUE_WORDS).to_bytes(4 * CLIQUE_WORDS, "little")
+
+
+def _grow_cliques(adj: np.ndarray, streams: list[str], rng: random.Random) -> np.ndarray:
+    """One randomized maximal clique per stream, grown side by side.
+
+    Row i of the result marks the members of the clique that stream i
+    grows by `randrange(n)` for the start vertex and then `choice` over the
+    ascending list of vertices adjacent to every member so far, until that
+    list is empty. Each draw replays `Random._randbelow` on the stream's
+    32-bit outputs: with c candidates left, take the top `c.bit_length()`
+    bits of the next output and draw again while they are >= c; an
+    accepted r picks the r-th candidate in ascending order. The start
+    vertex is that draw over all n vertices. A step looks at the next
+    `CLIQUE_LOOKAHEAD` outputs of every growing trial at once and takes the
+    first accepted one. `rng` is re-seeded for every stream, so no
+    generator outlives its reads; a trial whose next outputs run past its
+    buffer re-seeds its stream and skips the outputs it has used.
+    """
+    b, n = len(streams), adj.shape[0]
+    words = np.frombuffer(bytearray().join(_read_words(rng, s, 0) for s in streams),
+                          dtype="<u4").reshape(b, CLIQUE_WORDS)
+    shift = np.array([32 - c.bit_length() for c in range(n + 1)], dtype=np.uint32)
+    narrow = np.min_scalar_type(n)  # the rank of a candidate never exceeds n
+    members = np.zeros((b, n), dtype=bool)
+    # Per growing trial: its id, candidates, their count, the outputs its
+    # stream has given and the stream position of its buffer's first word.
+    ids = np.arange(b)
+    candidates = np.ones((b, n), dtype=bool)
+    count = np.full(b, n)
+    used = np.zeros(b, dtype=np.intp)
+    start = np.zeros(b, dtype=np.intp)
+    ahead = np.arange(CLIQUE_LOOKAHEAD)
+    while ids.size:
+        for i in np.flatnonzero(used - start > CLIQUE_WORDS - CLIQUE_LOOKAHEAD):
+            t, start[i] = ids[i], used[i]
+            words[t] = np.frombuffer(_read_words(rng, streams[t], int(used[i])), dtype="<u4")
+        r = words[ids[:, None], (used - start)[:, None] + ahead] >> shift[count][:, None]
+        accepted = r < count[:, None]
+        first = accepted.argmax(axis=1)
+        drawn = accepted.any(axis=1)
+        used += np.where(drawn, first + 1, CLIQUE_LOOKAHEAD)
+        pick = np.where(drawn, r[np.arange(ids.size), first], 0).astype(narrow)
+        v = np.argmax(np.cumsum(candidates, axis=1, dtype=narrow) > pick[:, None], axis=1)
+        members[ids, v] |= drawn
+        kept = adj[v]
+        kept[~drawn] = True  # a trial with no accepted output keeps its candidates
+        candidates &= kept
+        count = candidates.sum(axis=1)
+        growing = count > 0
+        if not growing.all():
+            ids, candidates, count = ids[growing], candidates[growing], count[growing]
+            used, start = used[growing], start[growing]
+    return members
 
 
 def find_clique(g: Graph, upper_bound: int, mode: str, seed: int,
                 time_budget: float = DEFAULT_CLIQUE_TIME_BUDGET,
-                trials: int | None = None) -> tuple[int, ...]:
-    """Best clique over randomized trials, scored as `clique_objective` does.
+                trials: int | None = None, stop_at: int | None = None) -> tuple[int, ...]:
+    """Best clique over randomized trials.
 
-    Runs ceil(300 * |E| / |V|) trials (at least one) or until the wall-time
-    budget runs out, whichever comes first. Trial t draws from its own
-    stream `random.Random(f"clique:{seed}:{t}")`: `randrange(n)` for the
+    Runs ceil(300 * |E| / |V|) trials (at least one). Trial t draws from its
+    own stream `random.Random(f"clique:{seed}:{t}")`: `randrange(n)` for the
     start vertex, then `choice` over the ascending list of candidates
-    (vertices adjacent to every member so far) until none is left. So
-    results are reproducible whenever the time budget is not the binding
-    constraint. The first trial with the highest score wins. Mode 'e'
-    counts |delta(Q)| as the members' degree sum minus |Q|(|Q| - 1), since
-    each edge inside Q adds 2 to that sum.
+    (vertices adjacent to every member so far) until none is left. Mode 'c'
+    scores a clique Q by |Q|, mode 'e' by |Q|*H + |delta(Q)| with H =
+    `upper_bound`, where |delta(Q)| is the members' degree sum minus
+    |Q|(|Q| - 1), since each edge inside Q adds 2 to that sum. The first
+    trial with the highest score wins.
+
+    Trials run in blocks of `CLIQUE_BLOCK`, grown side by side, and each
+    trial gives the clique that drawing from its stream one call at a time
+    gives. The search ends after the first block whose best clique has at
+    least `stop_at` members (in mode 'e' a later block could still hold a
+    clique of that size with a larger boundary; `preprocess_pipeline` passes
+    the coloring bound, where either clique settles the instance). It also
+    ends after the first block that finishes past `time_budget` seconds: the
+    budget is checked between blocks, so it can be overrun by up to one
+    block. Results are reproducible whenever the budget does not bind.
     """
     if trials is None:
         trials = max(1, math.ceil(CLIQUE_TRIALS_PER_DENSITY * g.m / g.n)) if g.n else 1
@@ -335,23 +378,26 @@ def find_clique(g: Graph, upper_bound: int, mode: str, seed: int,
         raise ValueError("graph has no vertices")
     if mode not in ("c", "e"):
         raise ValueError(f"unknown clique objective mode {mode!r}")
-    adjacency = g.adjacency
-    degree = [len(neighbours) for neighbours in adjacency]
+    adj = np.zeros((g.n, g.n), dtype=bool)
+    if g.m:
+        u, v = np.array(g.edges).T
+        adj[u, v] = adj[v, u] = True
+    degree = adj.sum(axis=1)
+    rng = random.Random()
     deadline = time.monotonic() + time_budget
-    best: list[int] = []
-    best_score = -1
-    for t in range(trials):
-        if best and time.monotonic() > deadline:
+    best, best_score = None, -1
+    for first in range(0, trials, CLIQUE_BLOCK):
+        if best is not None and ((stop_at is not None and len(best) >= stop_at)
+                                 or time.monotonic() > deadline):
             break
-        clique = _grow_clique(adjacency, random.Random(f"clique:{seed}:{t}"))
-        k = len(clique)
-        if mode == "c":
-            score = k
-        else:
-            score = k * upper_bound + sum(degree[v] for v in clique) - k * (k - 1)
-        if score > best_score:
-            best, best_score = clique, score
-    found = tuple(sorted(best))
+        streams = [f"clique:{seed}:{t}" for t in range(first, min(first + CLIQUE_BLOCK, trials))]
+        members = _grow_cliques(adj, streams, rng)
+        k = members.sum(axis=1)
+        score = k if mode == "c" else k * upper_bound + members @ degree - k * (k - 1)
+        i = int(np.argmax(score))
+        if score[i] > best_score:
+            best, best_score = np.flatnonzero(members[i]), score[i]
+    found = tuple(int(v) for v in best)
     _check_clique(g, found)
     return found
 
@@ -360,7 +406,9 @@ def preprocess_pipeline(g: Graph, mode: str = "e", seed: int = 0,
                         clique_time_budget: float = DEFAULT_CLIQUE_TIME_BUDGET) -> PreprocessedInstance:
     """Full reduction: dominance removal, upper bound, clique search, early exit.
 
-    The DSATUR bound H scores the clique search. TabuCol then tries k = H - 1
+    The DSATUR bound H scores the clique search, which stops after the first
+    block of trials whose best clique has H members: no clique can be
+    larger, and that clique settles the instance. TabuCol then tries k = H - 1
     down to the clique size, each from the best coloring so far, on the
     stream `random.Random(f"tabucol:{seed}")`, and stops at the first k it
     cannot reach; `upper_bound` and `greedy_coloring` are the best coloring
@@ -372,7 +420,8 @@ def preprocess_pipeline(g: Graph, mode: str = "e", seed: int = 0,
     """
     reduced = remove_dominated(g)
     upper_bound, coloring = greedy_upper_bound(reduced.graph)
-    clique = find_clique(reduced.graph, upper_bound, mode, seed, time_budget=clique_time_budget)
+    clique = find_clique(reduced.graph, upper_bound, mode, seed, time_budget=clique_time_budget,
+                         stop_at=upper_bound)
     rng = random.Random(f"tabucol:{seed}")
     while upper_bound > len(clique):
         fewer = tabucol(reduced.graph, coloring, upper_bound - 1, rng)

@@ -1,17 +1,18 @@
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chromatic import families
+from chromatic import families, preprocess
 from chromatic.graph import Coloring, ColoringError, Graph, gnp_random, verify_coloring
 from chromatic.oracle import chromatic_number_exact, _greedy_clique
-from chromatic.preprocess import (NotACliqueError, ReducedInstance, boundary_edges,
-                                  clique_objective, find_clique,
-                                  greedy_upper_bound, preprocess_pipeline,
-                                  random_maximal_clique, remove_dominated,
-                                  restore_coloring, tabucol)
+from chromatic.preprocess import (CLIQUE_BLOCK, CLIQUE_WORDS, ReducedInstance,
+                                  boundary_edges, find_clique, greedy_upper_bound,
+                                  preprocess_pipeline, remove_dominated, restore_coloring,
+                                  tabucol)
 
 
 class TestRemoveDominated:
@@ -139,23 +140,25 @@ class TestTabucol:
 
 
 class TestRandomMaximalClique:
+    """A single trial of `find_clique` grows one random maximal clique."""
+
     def test_complete_graph_returns_everything(self):
-        assert random_maximal_clique(families.complete(4), seed=1) == (0, 1, 2, 3)
+        assert find_clique(families.complete(4), 4, "c", seed=1, trials=1) == (0, 1, 2, 3)
 
     def test_edgeless_returns_singleton(self):
-        assert len(random_maximal_clique(families.empty(5), seed=2)) == 1
+        assert len(find_clique(families.empty(5), 1, "c", seed=2, trials=1)) == 1
 
     def test_cycle_five_gives_an_edge(self):
         g = families.cycle(5)
         for seed in range(10):
-            clique = random_maximal_clique(g, seed)
+            clique = find_clique(g, 3, "c", seed, trials=1)
             assert len(clique) == 2
             assert clique[1] in g.adjacency[clique[0]]
 
     @given(st.integers(0, 1000))
     def test_always_maximal_clique(self, seed):
         g = gnp_random(12, 0.5, seed % 7)
-        clique = random_maximal_clique(g, seed)
+        clique = find_clique(g, 12, "e", seed, trials=1)
         members = set(clique)
         for u in clique:
             assert members - {u} <= set(g.adjacency[u])
@@ -167,25 +170,19 @@ class TestRandomMaximalClique:
 class TestCliqueObjective:
     def test_whole_clique_no_boundary(self):
         g = families.complete(4)
-        assert clique_objective(g, (0, 1, 2, 3), upper_bound=4, mode="e") == 16
+        assert boundary_edges(g, (0, 1, 2, 3)) == ()
+        assert reference_score(g, (0, 1, 2, 3), 4, "e") == 16
+        assert find_clique(g, 4, "e", seed=0) == (0, 1, 2, 3)
 
     def test_path_boundary(self):
         g = families.path(3)
         assert boundary_edges(g, (0, 1)) == ((1, 2),)
-        assert clique_objective(g, (0, 1), upper_bound=2, mode="e") == 5
+        assert reference_score(g, (0, 1), 2, "e") == 5
 
     def test_mode_c_is_size(self):
         g = gnp_random(10, 0.6, 1)
-        clique = random_maximal_clique(g, 5)
-        assert clique_objective(g, clique, upper_bound=9, mode="c") == len(clique)
-
-    def test_not_a_clique(self):
-        with pytest.raises(NotACliqueError):
-            clique_objective(families.path(3), (0, 2), upper_bound=2, mode="c")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            clique_objective(families.complete(3), (0, 1), 3, mode="x")
+        sizes = [len(reference_clique(g, 5, t)) for t in range(20)]
+        assert len(find_clique(g, 9, "c", 5, trials=20)) == max(sizes)
 
 
 class TestFindClique:
@@ -211,7 +208,7 @@ class TestFindClique:
     def test_respects_trial_override(self):
         g = gnp_random(15, 0.5, 2)
         clique = find_clique(g, 5, "c", seed=1, trials=1)
-        assert clique == random_maximal_clique(g, random.Random("clique:1:0"))
+        assert clique == reference_clique(g, 1, 0)
 
     def test_unknown_mode_rejected_before_any_trial(self):
         with pytest.raises(ValueError, match="mode 'x'"):
@@ -236,24 +233,62 @@ def small_graphs(draw, max_n=14):
     return Graph.from_edges(n, [e for e, kept in zip(pairs, keep) if kept])
 
 
+def reference_clique(g, seed, t):
+    """Trial t as first written: one draw at a time from its own generator,
+    over a candidate set re-sorted for every draw."""
+    rng = random.Random(f"clique:{seed}:{t}")
+    start = rng.randrange(g.n)
+    clique = [start]
+    candidates = set(g.adjacency[start])
+    while candidates:
+        v = rng.choice(sorted(candidates))
+        clique.append(v)
+        candidates &= g.adjacency[v]
+    return tuple(sorted(clique))
+
+
+def reference_score(g, clique, upper_bound, mode):
+    """Mode 'c' scores |Q|; mode 'e' scores |Q|*H plus the edges leaving Q."""
+    if mode == "c":
+        return len(clique)
+    return len(clique) * upper_bound + len(boundary_edges(g, clique))
+
+
 def reference_find_clique(g, upper_bound, mode, seed, trials):
-    """The trial loop as first written: a candidate set re-sorted for every
-    draw, and every clique scored through `clique_objective`."""
+    """The trial loop as first written: every trial, the first best score wins."""
     best, best_score = None, -1
     for t in range(trials):
-        rng = random.Random(f"clique:{seed}:{t}")
-        start = rng.randrange(g.n)
-        clique = [start]
-        candidates = set(g.adjacency[start])
-        while candidates:
-            v = rng.choice(sorted(candidates))
-            clique.append(v)
-            candidates &= g.adjacency[v]
-        clique = tuple(sorted(clique))
-        score = clique_objective(g, clique, upper_bound, mode)
+        clique = reference_clique(g, seed, t)
+        score = reference_score(g, clique, upper_bound, mode)
         if score > best_score:
             best, best_score = clique, score
     return best
+
+
+def planned_trials(g):
+    return max(1, math.ceil(300 * g.m / g.n))
+
+
+def cocktail_party(n):
+    """The complete graph on 2n vertices less the matching 2i -- 2i + 1: every
+    maximal clique takes one end of each pair, n members drawn one by one."""
+    return Graph.from_edges(2 * n, [(u, v) for u in range(2 * n) for v in range(u + 1, 2 * n)
+                                    if v != u + 1 or u % 2])
+
+
+@pytest.fixture
+def seeded_streams(monkeypatch):
+    """Every `clique:` stream a generator is seeded with, repeats included."""
+    seeded = []
+
+    class Counting(random.Random):
+        def seed(self, a=None, version=2):
+            if isinstance(a, str) and a.startswith("clique:"):
+                seeded.append(a)
+            super().seed(a, version)
+
+    monkeypatch.setattr(preprocess.random, "Random", Counting)
+    return seeded
 
 
 class TestFindCliqueAgainstReference:
@@ -264,14 +299,84 @@ class TestFindCliqueAgainstReference:
         want = reference_find_clique(g, upper_bound, mode, seed, trials)
         assert find_clique(g, upper_bound, mode, seed, trials=trials) == want
 
-    @given(small_graphs(), st.integers(0, 10_000), st.integers(1, 14))
-    def test_degree_sum_counts_the_boundary(self, g, seed, upper_bound):
-        clique = random_maximal_clique(g, seed)
+    @settings(max_examples=12)
+    @given(small_graphs(), st.integers(0, 10_000), st.sampled_from("ce"),
+           st.integers(CLIQUE_BLOCK - 2, 2 * CLIQUE_BLOCK + 5), st.integers(1, 14))
+    def test_same_clique_across_blocks(self, g, seed, mode, trials, upper_bound):
+        want = reference_find_clique(g, upper_bound, mode, seed, trials)
+        assert find_clique(g, upper_bound, mode, seed, trials=trials) == want
+
+    @pytest.mark.parametrize("g", [families.complete(CLIQUE_WORDS + 6), cocktail_party(75)],
+                             ids=["complete", "cocktail_party"])
+    def test_same_clique_when_the_words_run_out(self, g, seeded_streams):
+        for seed in range(3):
+            for mode in "ce":
+                want = reference_find_clique(g, g.n, mode, seed, 3)
+                assert find_clique(g, g.n, mode, seed, trials=3) == want
+        # each trial needs more outputs than one read holds, so it re-seeds
+        assert len(seeded_streams) > len(set(seeded_streams))
+
+    @given(small_graphs(), st.integers(0, 10_000))
+    def test_degree_sum_counts_the_boundary(self, g, seed):
+        clique = find_clique(g, 1, "c", seed, trials=1)
         k = len(clique)
         degree_sum = sum(g.degree(v) for v in clique)
         assert len(boundary_edges(g, clique)) == degree_sum - k * (k - 1)
-        assert (clique_objective(g, clique, upper_bound, "e")
-                == k * upper_bound + degree_sum - k * (k - 1))
+
+
+class TestCliqueStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    @pytest.mark.parametrize("words", [1, 2, 5, CLIQUE_WORDS])
+    def test_bulk_bits_are_successive_outputs(self, seed, words):
+        bulk = random.Random(f"clique:{seed}:3").getrandbits(32 * words)
+        one_by_one = random.Random(f"clique:{seed}:3")
+        assert (np.frombuffer(bulk.to_bytes(4 * words, "little"), dtype="<u4").tolist()
+                == [one_by_one.getrandbits(32) for _ in range(words)])
+
+    @pytest.mark.parametrize("skip", [0, 1, CLIQUE_WORDS, 3 * CLIQUE_WORDS - 2])
+    def test_read_words_skips_what_was_used(self, skip):
+        rng = random.Random("clique:5:0")
+        outputs = [rng.getrandbits(32) for _ in range(skip + CLIQUE_WORDS)]
+        words = preprocess._read_words(random.Random(), "clique:5:0", skip)
+        assert np.frombuffer(words, dtype="<u4").tolist() == outputs[skip:]
+
+    @pytest.mark.parametrize("mode", "ce")
+    def test_zero_budget_keeps_the_first_block(self, mode):
+        g = gnp_random(30, 0.5, 1)
+        ub, _ = greedy_upper_bound(g)
+        assert planned_trials(g) > CLIQUE_BLOCK
+        assert (find_clique(g, ub, mode, 4, time_budget=0)
+                == find_clique(g, ub, mode, 4, trials=min(CLIQUE_BLOCK, planned_trials(g))))
+
+    def test_search_stops_once_the_clique_meets_the_bound(self, seeded_streams):
+        g = families.complete(12)
+        assert planned_trials(g) > CLIQUE_BLOCK
+        inst = preprocess_pipeline(g, seed=3)
+        assert inst.solved_in_preprocessing
+        assert len(set(seeded_streams)) == CLIQUE_BLOCK
+
+    def test_search_runs_every_trial_when_it_cannot_settle(self, seeded_streams):
+        g = gnp_random(45, 0.5, 0)
+        inst = preprocess_pipeline(g, seed=0)
+        assert not inst.solved_in_preprocessing
+        assert len(set(seeded_streams)) == planned_trials(inst.reduced.graph) > CLIQUE_BLOCK
+
+
+def reference_pipeline(g, mode, seed):
+    """The pipeline written out with no early stop: the clique search runs
+    every planned trial, then TabuCol descends from H, floored at |Q|."""
+    reduced = remove_dominated(g)
+    upper_bound, coloring = greedy_upper_bound(reduced.graph)
+    clique = reference_find_clique(reduced.graph, upper_bound, mode, seed,
+                                   planned_trials(reduced.graph))
+    rng = random.Random(f"tabucol:{seed}")
+    while upper_bound > len(clique):
+        fewer = tabucol(reduced.graph, coloring, upper_bound - 1, rng)
+        if fewer is None:
+            break
+        upper_bound, coloring = fewer.num_colors, fewer
+    anchor = max(clique, key=lambda v: (reduced.graph.degree(v), -v))
+    return clique, anchor, upper_bound, coloring
 
 
 class TestPipeline:
@@ -308,6 +413,16 @@ class TestPipeline:
         again = preprocess_pipeline(g, seed=seed, clique_time_budget=5)
         assert (again.upper_bound, again.greedy_coloring) == (inst.upper_bound,
                                                               inst.greedy_coloring)
+
+    @settings(max_examples=30)
+    @given(small_graphs(max_n=12), st.integers(0, 10_000), st.sampled_from("ce"))
+    def test_matches_the_full_search(self, g, seed, mode):
+        clique, anchor, upper_bound, coloring = reference_pipeline(g, mode, seed)
+        inst = preprocess_pipeline(g, mode=mode, seed=seed)
+        assert (inst.upper_bound, inst.greedy_coloring) == (upper_bound, coloring)
+        assert inst.solved_in_preprocessing == (len(clique) == upper_bound)
+        if not inst.solved_in_preprocessing:
+            assert (inst.clique, inst.anchor) == (clique, anchor)
 
     def test_anchor_in_clique(self):
         for seed in range(8):

@@ -19,7 +19,8 @@ def test_every_exported_name_is_bound_once():
     assert [name for name in chromatic.__all__ if not hasattr(chromatic, name)] == []
 
 
-@pytest.mark.parametrize("name", ["complement", "strip_time_columns", "Constraint"])
+@pytest.mark.parametrize("name", ["complement", "strip_time_columns", "Constraint",
+                                  "random_maximal_clique", "_grow_clique", "clique_objective"])
 def test_deleted_name_is_not_importable(name):
     assert [module.__name__ for module in MODULES if hasattr(module, name)] == []
 
