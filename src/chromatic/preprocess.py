@@ -348,7 +348,7 @@ def _grow_cliques(adj: np.ndarray, streams: list[str], rng: random.Random) -> np
 
 def find_clique(g: Graph, upper_bound: int, mode: str, seed: int,
                 time_budget: float = DEFAULT_CLIQUE_TIME_BUDGET,
-                trials: int | None = None, stop_at: int | None = None) -> tuple[int, ...]:
+                trials: int | None = None) -> tuple[int, ...]:
     """Best clique over randomized trials.
 
     Runs ceil(300 * |E| / |V|) trials (at least one). Trial t draws from its
@@ -356,19 +356,21 @@ def find_clique(g: Graph, upper_bound: int, mode: str, seed: int,
     start vertex, then `choice` over the ascending list of candidates
     (vertices adjacent to every member so far) until none is left. Mode 'c'
     scores a clique Q by |Q|, mode 'e' by |Q|*H + |delta(Q)| with H =
-    `upper_bound`, where |delta(Q)| is the members' degree sum minus
-    |Q|(|Q| - 1), since each edge inside Q adds 2 to that sum. The first
-    trial with the highest score wins.
+    `upper_bound`, a coloring bound, where |delta(Q)| is the members' degree
+    sum minus |Q|(|Q| - 1), since each edge inside Q adds 2 to that sum. The
+    first trial with the highest score wins.
 
-    Trials run in blocks of `CLIQUE_BLOCK`, grown side by side, and each
-    trial gives the clique that drawing from its stream one call at a time
-    gives. The search ends after the first block whose best clique has at
-    least `stop_at` members (in mode 'e' a later block could still hold a
-    clique of that size with a larger boundary; `preprocess_pipeline` passes
-    the coloring bound, where either clique settles the instance). It also
-    ends after the first block that finishes past `time_budget` seconds: the
-    budget is checked between blocks, so it can be overrun by up to one
-    block. Results are reproducible whenever the budget does not bind.
+    Trials run in blocks of `CLIQUE_BLOCK`, grown side by side on an n x n
+    adjacency matrix (n^2 bytes), and each trial gives the clique that
+    drawing from its stream one call at a time gives. No clique has more
+    than H members, so the search ends after the first block whose best
+    clique has H members: in mode 'c' that is the clique the full search
+    returns; in mode 'e' a later block could hold another clique of H
+    members with a larger boundary, which the full search would return.
+    The search also ends after the first block that finishes past
+    `time_budget` seconds: the budget is checked between blocks, so it can
+    be overrun by up to one block. Results are reproducible whenever the
+    budget does not bind.
     """
     if trials is None:
         trials = max(1, math.ceil(CLIQUE_TRIALS_PER_DENSITY * g.m / g.n)) if g.n else 1
@@ -387,8 +389,7 @@ def find_clique(g: Graph, upper_bound: int, mode: str, seed: int,
     deadline = time.monotonic() + time_budget
     best, best_score = None, -1
     for first in range(0, trials, CLIQUE_BLOCK):
-        if best is not None and ((stop_at is not None and len(best) >= stop_at)
-                                 or time.monotonic() > deadline):
+        if best is not None and (len(best) >= upper_bound or time.monotonic() > deadline):
             break
         streams = [f"clique:{seed}:{t}" for t in range(first, min(first + CLIQUE_BLOCK, trials))]
         members = _grow_cliques(adj, streams, rng)
@@ -408,7 +409,9 @@ def preprocess_pipeline(g: Graph, mode: str = "e", seed: int = 0,
 
     The DSATUR bound H scores the clique search, which stops after the first
     block of trials whose best clique has H members: no clique can be
-    larger, and that clique settles the instance. TabuCol then tries k = H - 1
+    larger, and that clique settles the instance (in mode 'e' it may be a
+    different clique of H members, with a different anchor, from the one a
+    full search would pick). TabuCol then tries k = H - 1
     down to the clique size, each from the best coloring so far, on the
     stream `random.Random(f"tabucol:{seed}")`, and stops at the first k it
     cannot reach; `upper_bound` and `greedy_coloring` are the best coloring
@@ -420,8 +423,7 @@ def preprocess_pipeline(g: Graph, mode: str = "e", seed: int = 0,
     """
     reduced = remove_dominated(g)
     upper_bound, coloring = greedy_upper_bound(reduced.graph)
-    clique = find_clique(reduced.graph, upper_bound, mode, seed, time_budget=clique_time_budget,
-                         stop_at=upper_bound)
+    clique = find_clique(reduced.graph, upper_bound, mode, seed, time_budget=clique_time_budget)
     rng = random.Random(f"tabucol:{seed}")
     while upper_bound > len(clique):
         fewer = tabucol(reduced.graph, coloring, upper_bound - 1, rng)
