@@ -11,6 +11,7 @@ from .bench import (RunConfig, generate_set, read_manifest, records_csv,
                     run_bench, solve_instance, summarize, summary_csv)
 from .graph import (Coloring, ColoringError, DimacsError, Graph, parse_dimacs,
                     verify_coloring)
+from .lpsolve import seconds
 from .models import FORMULATIONS
 from .preprocess import CLIQUE_BLOCK
 
@@ -47,14 +48,6 @@ def parse_coloring(text: str, n: int) -> Coloring:
 
 def _load_graph(path: str) -> Graph:
     return parse_dimacs(Path(path).read_text(encoding="utf-8"))
-
-
-def seconds(text: str) -> float:
-    """A time limit or budget: a finite number of seconds above zero."""
-    value = float(text)
-    if not 0 < value < float("inf"):  # nan fails both comparisons
-        raise argparse.ArgumentTypeError(f"expected a finite number of seconds > 0, got {text}")
-    return value
 
 
 def _config_from_args(args) -> RunConfig:

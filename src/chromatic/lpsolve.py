@@ -18,17 +18,23 @@ member and collects the values. Both routes call it: the LP-file route on
 what `parse_lp` reads (`solve_lp_text`: this script, whose `main` the
 `builtin-sub` child runs once) and the in-process `builtin` adapter on the
 built model itself, with no LP text. Both give HiGHS the same arrays.
+
+scipy is imported in one place, `load_highs`, the first time HiGHS is
+needed: the `builtin` adapter calls it when it is made, before any solve
+clock starts, and this script calls it after its LP text has parsed.
+Importing this module, the package or its CLI loads no scipy, so a run whose
+solver is a child process (`builtin-sub` or a JSON adapter) never pays for
+it in the parent.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import csr_matrix
 
 from .lp import LpParseError, parse_lp
 from .models import MilpModel
@@ -56,6 +62,26 @@ class RawSolve:
     log: str = ""
 
 
+@functools.cache
+def load_highs():
+    """Import scipy's HiGHS interface once; return `(scipy.optimize, scipy.sparse)`."""
+    from scipy import optimize, sparse
+    return optimize, sparse
+
+
+def milp(**kwargs):
+    """`scipy.optimize.milp`, the one HiGHS call; returns its result as is."""
+    return load_highs()[0].milp(**kwargs)
+
+
+def seconds(text: str) -> float:
+    """A time limit or budget: a finite number of seconds above zero."""
+    value = float(text)
+    if not 0 < value < float("inf"):  # nan fails both comparisons
+        raise argparse.ArgumentTypeError(f"expected a finite number of seconds > 0, got {text}")
+    return value
+
+
 def solve_parsed(model: MilpModel, time_limit: float = 3600.0) -> RawSolve:
     names = model.variables
     nvar = len(names)
@@ -74,6 +100,7 @@ def solve_parsed(model: MilpModel, time_limit: float = 3600.0) -> RawSolve:
     integrality = np.zeros(nvar)
     integrality[:model.num_binary] = 1.0
 
+    optimize, sparse = load_highs()
     constraints = []
     blocks = model.blocks
     if model.num_rows:
@@ -81,13 +108,14 @@ def solve_parsed(model: MilpModel, time_limit: float = 3600.0) -> RawSolve:
         rows = np.repeat(np.arange(len(widths)), widths)
         cols = np.concatenate([block.cols for block in blocks])
         coefs = np.concatenate([block.coefs for block in blocks])
-        matrix = csr_matrix((coefs, (rows, cols)), shape=(len(widths), nvar))
-        constraints = [LinearConstraint(matrix, np.concatenate([block.lo for block in blocks]),
-                                        np.concatenate([block.hi for block in blocks]))]
+        matrix = sparse.csr_matrix((coefs, (rows, cols)), shape=(len(widths), nvar))
+        constraints = [optimize.LinearConstraint(
+            matrix, np.concatenate([block.lo for block in blocks]),
+            np.concatenate([block.hi for block in blocks]))]
 
     try:
         res = milp(c=c, constraints=constraints, integrality=integrality,
-                   bounds=Bounds(lower, upper),
+                   bounds=optimize.Bounds(lower, upper),
                    options={"time_limit": float(time_limit), "mip_rel_gap": 0.0})
     except ValueError as exc:
         return RawSolve(SolveStatus.ERROR, None, None, None, f"solver rejected model: {exc}")
@@ -134,7 +162,7 @@ def main(argv=None) -> int:
         description="Solve a mixed-binary LP file with HiGHS and write a solution file.")
     parser.add_argument("model", help="input LP file")
     parser.add_argument("--out", required=True, help="solution file to write")
-    parser.add_argument("--time-limit", type=float, default=3600.0)
+    parser.add_argument("--time-limit", type=seconds, default=3600.0, metavar="S")
     args = parser.parse_args(argv)
 
     try:

@@ -1,3 +1,5 @@
+import pytest
+
 from chromatic.lpsolve import SolveStatus, main, render_solution, solve_lp_text
 
 
@@ -75,3 +77,16 @@ def test_general_integers_are_refused(tmp_path, capsys):
     assert main([str(model), "--out", str(solution)]) == 3
     assert not solution.exists()
     assert "line 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_time_limit_must_be_finite_and_positive(tmp_path, capsys, value):
+    # HiGHS would take such a limit as no limit at all
+    model = tmp_path / "model.lp"
+    model.write_text("Minimize\n obj: x\nSubject To\n c1: x >= 0\nBinaries\n x\nEnd\n")
+    solution = tmp_path / "model.sol"
+    with pytest.raises(SystemExit) as raised:
+        main([str(model), "--out", str(solution), "--time-limit", value])
+    assert raised.value.code == 2
+    assert "argument --time-limit: " in capsys.readouterr().err
+    assert not solution.exists()
