@@ -36,7 +36,7 @@ from pathlib import Path
 
 from . import lpsolve
 from .lp import _NAME, _NUM, emit_lp
-from .lpsolve import RawSolve, SolveStatus
+from .lpsolve import DEFAULT_TIME_LIMIT, RawSolve, SolveStatus
 from .models import VALUE_TOLERANCE, ExtractionError, MilpModel, binary_value, objective_value
 
 KILL_GRACE_SECONDS = 10.0
@@ -334,15 +334,16 @@ def integral_floor_bound(raw: float) -> int:
     return math.ceil(raw - VALUE_TOLERANCE)
 
 
-def solve(model: MilpModel, adapter=None, time_limit: float = 3600.0, seed: int = 0,
+def solve(model: MilpModel, adapter=None, time_limit: float = DEFAULT_TIME_LIMIT, seed: int = 0,
           workdir: str | Path | None = None) -> SolveResult:
-    """Run the adapter on the model, normalize bounds and status.
+    """Check the time limit (`lpsolve.seconds`), run the adapter, normalize bounds and status.
 
     LP text is written only where a file is used: `model.lp` in `workdir`
     when one is given (byte-reproducible solve artifacts, for any adapter),
     and for a `CommandAdapter`, which gets a fresh temporary directory when
     there is no workdir. Otherwise the adapter sees no file and no directory.
     """
+    time_limit = lpsolve.seconds(time_limit)
     if adapter is None:
         adapter = BuiltinAdapter()
     started = time.monotonic()

@@ -29,14 +29,16 @@ import io
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .backend import SolveResult, SolveStatus, load_adapter, solve
 from .graph import (Coloring, ColoringError, Graph, gnp_random, parse_dimacs, verify_coloring,
                     write_dimacs)
+from .lpsolve import DEFAULT_TIME_LIMIT
 from .models import apply_clique_fixings, build_formulation, extract_coloring
-from .preprocess import PreprocessedInstance, preprocess_pipeline, restore_coloring
+from .preprocess import (DEFAULT_CLIQUE_TIME_BUDGET, PreprocessedInstance, preprocess_pipeline,
+                         restore_coloring)
 
 RECORD_COLUMNS = ("instance", "n", "m", "class", "model", "clique",
                   "lb", "ub", "time", "status", "seed", "prep_time")
@@ -81,15 +83,11 @@ class BenchmarkRecord:
 class RunConfig:
     models: tuple[str, ...] = ("pop2",)
     clique_mode: str = "e"
-    time_limit: float = 3600.0
-    clique_time_budget: float = 60.0
+    time_limit: float = DEFAULT_TIME_LIMIT
+    clique_time_budget: float = DEFAULT_CLIQUE_TIME_BUDGET
     adapter: str = "builtin"
     seed: int = 0
     jobs: int = 1
-
-    def desk_scale(self) -> "RunConfig":
-        """Short limits for interactive runs: 60 s solves, 5 s clique search."""
-        return replace(self, time_limit=60.0, clique_time_budget=5.0)
 
 
 @dataclass

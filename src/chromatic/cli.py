@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .backend import SolverNotFoundError, SolveStatus, load_adapter
@@ -51,35 +50,29 @@ def _load_graph(path: str) -> Graph:
 
 
 def _config_from_args(args) -> RunConfig:
-    """The run's settings; `--desk-scale` changes only the limits not given."""
     load_adapter(args.adapter)  # validate the spec before any work happens
-    base = RunConfig().desk_scale() if args.desk_scale else RunConfig()
-    limits = {"time_limit": args.time_limit, "clique_time_budget": args.clique_budget}
-    return replace(base, models=tuple(args.model) if args.model else base.models,
-                   clique_mode=args.clique, adapter=args.adapter, seed=args.seed,
-                   jobs=getattr(args, "jobs", 1),
-                   **{key: value for key, value in limits.items() if value is not None})
+    return RunConfig(models=tuple(args.model or RunConfig.models), clique_mode=args.clique,
+                     time_limit=args.time_limit, clique_time_budget=args.clique_budget,
+                     adapter=args.adapter, seed=args.seed, jobs=args.jobs)
 
 
 def _add_run_options(sub: argparse.ArgumentParser) -> None:
+    run = RunConfig()
     sub.add_argument("--model", action="append", choices=FORMULATIONS,
-                     help="formulation to run (repeatable; default pop2)")
-    sub.add_argument("--clique", choices=("c", "e"), default="e",
+                     help=f"formulation to run (repeatable; default {' '.join(run.models)})")
+    sub.add_argument("--clique", choices=("c", "e"), default=run.clique_mode,
                      help="clique search objective: size (c) or fixing count (e)")
-    sub.add_argument("--time-limit", type=seconds, metavar="S",
-                     help="solver time limit per model (default 3600, or 60 with --desk-scale)")
-    sub.add_argument("--clique-budget", type=seconds, metavar="S",
+    sub.add_argument("--time-limit", type=seconds, default=run.time_limit, metavar="S",
+                     help="solver time limit per model (default %(default)g)")
+    sub.add_argument("--clique-budget", type=seconds, default=run.clique_time_budget, metavar="S",
                      help="wall-time budget for the randomized clique search, checked "
-                          f"between blocks of {CLIQUE_BLOCK} trials, so it can be overrun "
-                          "by up to one block (default 60, or 5 with --desk-scale)")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--adapter", default="builtin",
-                     help="builtin | builtin-sub | path to adapter JSON")
+                          f"every {CLIQUE_BLOCK} trials (default %(default)g)")
+    sub.add_argument("--seed", type=int, default=run.seed)
+    sub.add_argument("--adapter", default=run.adapter,
+                     help="builtin | builtin-sub | path to adapter JSON (default %(default)s)")
     sub.add_argument("--out", type=Path, default=None, metavar="PATH",
                      help="output directory (solve) or records CSV file (bench)")
-    sub.add_argument("--desk-scale", action="store_true",
-                     help="default to --time-limit 60 --clique-budget 5; "
-                          "either flag given still wins")
+    sub.set_defaults(jobs=run.jobs)  # `bench` adds the --jobs flag
 
 
 def cmd_solve(args) -> int:
@@ -104,10 +97,7 @@ def cmd_solve(args) -> int:
         if inst.solved_in_preprocessing:
             print("bounds met in preprocessing; no MILP solved")
     for record in outcome.records:
-        lb = "-inf" if record.lb is None else record.lb
-        ub = "inf" if record.ub is None else record.ub
-        print(f"  {record.model:5s} lb={lb} ub={ub} "
-              f"time={record.time:.2f}s status={record.status}")
+        print("  {model:5s} lb={lb} ub={ub} time={time}s status={status}".format(**record.row()))
         if record.error:
             print(f"        {record.error}")
     if args.out:
@@ -202,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p = sub.add_parser("bench", help="sweep a manifest of instances")
     bench_p.add_argument("manifest", help="manifest.csv from `chromatic generate`")
     _add_run_options(bench_p)
-    bench_p.add_argument("--jobs", type=int, default=1,
-                         help="parallel solver workers")
+    bench_p.add_argument("--jobs", type=int,
+                         help="parallel solver workers (default %(default)s)")
     bench_p.set_defaults(func=cmd_bench)
 
     verify_p = sub.add_parser("verify", help="check a coloring file against a graph")

@@ -74,15 +74,25 @@ def milp(**kwargs):
     return load_highs()[0].milp(**kwargs)
 
 
-def seconds(text: str) -> float:
-    """A time limit or budget: a finite number of seconds above zero."""
-    value = float(text)
-    if not 0 < value < float("inf"):  # nan fails both comparisons
-        raise argparse.ArgumentTypeError(f"expected a finite number of seconds > 0, got {text}")
+DEFAULT_TIME_LIMIT = 3600.0
+# About 11.6 days: a command adapter waits `time_limit + KILL_GRACE_SECONDS` for
+# its child, and on Linux `subprocess.run` overflows past 2**31 - 1 ms (at 3e6 s).
+MAX_TIME_LIMIT = 1e6
+
+
+class TimeLimitError(ValueError, argparse.ArgumentTypeError):
+    """A time limit or budget `seconds` refuses; argparse prints its message."""
+
+
+def seconds(value: str | float) -> float:
+    """A time limit or budget in seconds, flag or library value alike: in (0, MAX_TIME_LIMIT]."""
+    value = float(value)
+    if not 0 < value <= MAX_TIME_LIMIT:  # nan fails both comparisons
+        raise TimeLimitError(f"expected seconds in (0, {MAX_TIME_LIMIT:.0f}], got {value}")
     return value
 
 
-def solve_parsed(model: MilpModel, time_limit: float = 3600.0) -> RawSolve:
+def solve_parsed(model: MilpModel, time_limit: float = DEFAULT_TIME_LIMIT) -> RawSolve:
     names = model.variables
     nvar = len(names)
 
@@ -140,7 +150,7 @@ def solve_parsed(model: MilpModel, time_limit: float = 3600.0) -> RawSolve:
     return RawSolve(status, objective, bound, values, str(res.message))
 
 
-def solve_lp_text(text: str, time_limit: float = 3600.0) -> RawSolve:
+def solve_lp_text(text: str, time_limit: float = DEFAULT_TIME_LIMIT) -> RawSolve:
     return solve_parsed(parse_lp(text), time_limit=time_limit)
 
 
@@ -162,7 +172,7 @@ def main(argv=None) -> int:
         description="Solve a mixed-binary LP file with HiGHS and write a solution file.")
     parser.add_argument("model", help="input LP file")
     parser.add_argument("--out", required=True, help="solution file to write")
-    parser.add_argument("--time-limit", type=seconds, default=3600.0, metavar="S")
+    parser.add_argument("--time-limit", type=seconds, default=DEFAULT_TIME_LIMIT, metavar="S")
     args = parser.parse_args(argv)
 
     try:

@@ -500,7 +500,7 @@ def apply_clique_fixings(m: MilpModel, inst: PreprocessedInstance) -> MilpModel:
     precolored k forbids color k on v: a variable fixing where the model has
     that variable, the substituted equality y_{k-1}_v = y_k_v (a `boundary`
     block) in the pure partial-ordering model. A fixing is the bound (v, v)
-    in `bounds`.
+    in `bounds`. Both families need |Q| <= H, else ModelError.
     """
     g = m.graph
     clique = tuple(inst.clique)
@@ -512,8 +512,11 @@ def apply_clique_fixings(m: MilpModel, inst: PreprocessedInstance) -> MilpModel:
     bounds = dict(m.bounds)
     blocks = m.blocks
 
-    if m.kind in ("ass-s", "ass"):
+    if m.kind in ("ass-s", "ass", "pop", "pop2"):
         H = _color_bound(m)
+        if len(clique) > H:
+            raise ModelError(f"clique of {len(clique)} vertices exceeds color bound H = {H}")
+    if m.kind in ("ass-s", "ass"):
         assignments = dict(precolor)
         assignments[anchor] = len(clique)
         for u, k in assignments.items():
@@ -525,11 +528,10 @@ def apply_clique_fixings(m: MilpModel, inst: PreprocessedInstance) -> MilpModel:
             u, v = (a, b) if a in assignments else (b, a)
             _add_fixing(bounds, xv(v, assignments[u]), 0)
     elif m.kind in ("pop", "pop2"):
-        H = _color_bound(m)
         for u, k in precolor.items():
             for i in range(1, H):
                 _add_fixing(bounds, yv(i, u), 1 if i < k else 0)
-        for i in range(1, min(len(clique), H)):
+        for i in range(1, len(clique)):
             _add_fixing(bounds, yv(i, anchor), 1)
         boundary = []  # (precolored u, its color k, neighbour v)
         for (a, b) in boundary_edges(g, clique):
@@ -540,8 +542,6 @@ def apply_clique_fixings(m: MilpModel, inst: PreprocessedInstance) -> MilpModel:
                     _add_fixing(bounds, xv(v, k), 0)
                 elif k == 1:
                     _add_fixing(bounds, yv(1, v), 1)
-                elif k == H:
-                    _add_fixing(bounds, yv(H - 1, v), 0)
                 else:
                     boundary.append((u, k, v))
         if boundary:

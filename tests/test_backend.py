@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -617,3 +618,38 @@ class TestBackendInvariants:
                 assert result.lower_bound <= chi
                 coloring = extract_coloring(model, result.values)
                 assert coloring.num_colors == result.upper_bound
+
+
+class TestTimeLimitRule:
+    """One rule for a time limit, checked in `solve` before any adapter runs."""
+
+    ADAPTERS = {"builtin": BuiltinAdapter, "builtin-sub": builtin_subprocess_adapter}
+
+    @pytest.mark.parametrize("adapter_name", list(ADAPTERS))
+    @pytest.mark.parametrize("limit", [
+        float("inf"), float("nan"), 0, -1, 3e6,
+        math.nextafter(lpsolve.MAX_TIME_LIMIT, math.inf)],
+        ids=["inf", "nan", "0", "-1", "3e6", "just-above-max"])
+    def test_refused_before_anything_runs(self, tmp_path, monkeypatch, adapter_name, limit):
+        # unchecked, these split the routes: HiGHS in process solves inf,
+        # nan, -1 and 3e6, where the LP-file route fails on each of them
+        def no_run(*args, **kwargs):
+            raise AssertionError("a solver ran")
+
+        adapter = self.ADAPTERS[adapter_name]()
+        monkeypatch.setattr(backend.subprocess, "run", no_run)
+        monkeypatch.setattr(lpsolve, "solve_parsed", no_run)
+        workdir = tmp_path / "work"
+        with pytest.raises(ValueError, match=r"expected seconds in \(0, 1000000\], got "):
+            solve(build_pop(families.cycle(5), 3, anchor=0), adapter=adapter,
+                  time_limit=limit, workdir=workdir)
+        assert not workdir.exists()
+
+    @pytest.mark.parametrize("adapter_name", list(ADAPTERS))
+    def test_largest_limit_solves(self, adapter_name):
+        inst = preprocess_pipeline(families.cycle(5), seed=1, clique_time_budget=0.5)
+        model = apply_clique_fixings(build_formulation("pop2", inst), inst)
+        result = solve(model, adapter=self.ADAPTERS[adapter_name](),
+                       time_limit=lpsolve.MAX_TIME_LIMIT)
+        assert result.status is SolveStatus.OPTIMAL, result.log
+        assert result.upper_bound == 3

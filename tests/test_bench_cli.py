@@ -226,8 +226,8 @@ class TestCliCommands:
     def test_solve_writes_outputs(self, tmp_path, capsys):
         instance = tmp_path / "k2.col"
         instance.write_text(write_dimacs(families.complete(2)))
-        code = run_cli("solve", str(instance), "--model", "pop2", "--desk-scale",
-                       "--out", str(tmp_path / "out"))
+        code = run_cli("solve", str(instance), "--model", "pop2", "--time-limit", "60",
+                       "--clique-budget", "5", "--out", str(tmp_path / "out"))
         assert code == 0
         printed = capsys.readouterr().out
         assert "bounds met in preprocessing" in printed
@@ -322,7 +322,7 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("command", ["solve", "bench"])
     @pytest.mark.parametrize("flag", ["--time-limit", "--clique-budget"])
-    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-1", "3e6"])
     def test_limit_must_be_finite_and_positive(self, tmp_path, capsys, command, flag, value):
         (tmp_path / "k3.col").write_text(write_dimacs(families.complete(3)))
         (tmp_path / "manifest.csv").write_text("file,name,n,m,p,seed,class\n"
@@ -367,16 +367,16 @@ class TestCliCommands:
                        "--count", "2", "--seed", "4", "--out", str(tmp_path / "set")) == 0
         out_csv = tmp_path / "bench.csv"
         assert run_cli("bench", str(tmp_path / "set" / "manifest.csv"),
-                       "--model", "pop2", "--model", "rep", "--desk-scale",
-                       "--out", str(out_csv)) == 0
+                       "--model", "pop2", "--model", "rep", "--time-limit", "60",
+                       "--clique-budget", "5", "--out", str(out_csv)) == 0
         lines = out_csv.read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 2
         assert (tmp_path / "bench.summary.csv").exists()
 
         instance = tmp_path / "set" / "gnp_n9_p0.4_00.col"
         solve_dir = tmp_path / "solved"
-        assert run_cli("solve", str(instance), "--model", "rep", "--desk-scale",
-                       "--out", str(solve_dir)) == 0
+        assert run_cli("solve", str(instance), "--model", "rep", "--time-limit", "60",
+                       "--clique-budget", "5", "--out", str(solve_dir)) == 0
         coloring_file = solve_dir / "gnp_n9_p0.4_00.rep.coloring"
         assert run_cli("verify", str(instance), str(coloring_file)) == 0
         out = capsys.readouterr().out
@@ -397,15 +397,20 @@ class TestCliCommands:
         coloring.write_text("v 1 1\n")
         assert run_cli("verify", str(instance), str(coloring)) == 2
 
-    @pytest.mark.parametrize("flags, limits", [
-        (["--time-limit", "5", "--clique-budget", "0.5", "--desk-scale"], (5.0, 0.5)),
-        (["--desk-scale"], (60.0, 5.0)),
-        ([], (3600.0, 60.0)),
-    ], ids=["given-flags-win", "desk-scale", "defaults"])
-    def test_desk_scale_changes_only_the_defaults(self, flags, limits):
-        args = cli.build_parser().parse_args(["solve", "x.col", *flags])
-        cfg = cli._config_from_args(args)
-        assert (cfg.time_limit, cfg.clique_time_budget) == limits
+    @pytest.mark.parametrize("argv", [["solve", "x.col"], ["bench", "m.csv"]],
+                             ids=["solve", "bench"])
+    def test_no_flags_give_the_run_config_defaults(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        assert cli._config_from_args(args) == RunConfig()
+
+    def test_given_flags_win(self):
+        args = cli.build_parser().parse_args([
+            "bench", "m.csv", "--model", "rep", "--model", "ass", "--clique", "c",
+            "--time-limit", "5", "--clique-budget", "0.5", "--seed", "3",
+            "--adapter", "builtin-sub", "--jobs", "2"])
+        assert cli._config_from_args(args) == RunConfig(
+            models=("rep", "ass"), clique_mode="c", time_limit=5.0, clique_time_budget=0.5,
+            adapter="builtin-sub", seed=3, jobs=2)
 
     def test_verify_oracle_witness_for_petersen(self, tmp_path):
         g = families.petersen()

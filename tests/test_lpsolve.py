@@ -79,9 +79,10 @@ def test_general_integers_are_refused(tmp_path, capsys):
     assert "line 5" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf", "3e6"])
 def test_time_limit_must_be_finite_and_positive(tmp_path, capsys, value):
-    # HiGHS would take such a limit as no limit at all
+    # HiGHS would take such a limit as no limit at all; 3e6 s is above
+    # MAX_TIME_LIMIT, where a parent's wait for its solver child overflows
     model = tmp_path / "model.lp"
     model.write_text("Minimize\n obj: x\nSubject To\n c1: x >= 0\nBinaries\n x\nEnd\n")
     solution = tmp_path / "model.sol"

@@ -289,6 +289,23 @@ class TestCliqueFixings:
         with pytest.raises(FixingConflictError):
             apply_clique_fixings(tampered, inst)
 
+    @pytest.mark.parametrize("upper", [3, 2])
+    @pytest.mark.parametrize("kind", FORMULATIONS)
+    def test_clique_larger_than_color_bound_is_refused(self, kind, upper):
+        # unchecked, H = 3 gives an infeasible pop/pop2 model and an unknown
+        # x_1_4 in ass/ass-s, and H = 2 a fixing conflict in pop
+        inst = preprocess_pipeline(gnp_random(12, 0.6, 5), seed=0, clique_time_budget=1)
+        assert len(inst.clique) == 4
+        inst = replace(inst, upper_bound=upper)
+        model = build_formulation(kind, inst)
+        if kind == "rep":  # no color bound to exceed
+            assert apply_clique_fixings(model, inst).fixings
+            return
+        with pytest.raises(ModelError) as raised:
+            apply_clique_fixings(model, inst)
+        assert type(raised.value) is ModelError
+        assert str(raised.value) == f"clique of 4 vertices exceeds color bound H = {upper}"
+
     def test_fixings_preserve_optimum(self):
         for seed in (0, 1):
             g = gnp_random(9, 0.5, seed)

@@ -7,6 +7,7 @@ import pytest
 
 import chromatic
 from chromatic.backend import SolveResult
+from chromatic.bench import RunConfig
 from chromatic.graph import Graph
 from chromatic.models import MilpModel, RowBlock
 
@@ -31,3 +32,4 @@ def test_deleted_members_are_gone():
     assert "dense_width" not in {field.name for field in fields(RowBlock)}
     assert not hasattr(Graph, "non_edges")
     assert not hasattr(SolveResult, "solved")
+    assert not hasattr(RunConfig, "desk_scale")
