@@ -185,8 +185,8 @@ class BuiltinAdapter:
     `lpsolve.solve_parsed` takes the built model itself, its row blocks,
     bounds and column order, as `chromatic-lps` takes what `parse_lp`
     reads from the LP file, so HiGHS sees the same arrays on both routes.
-    It reads no file. Making one imports scipy (`lpsolve.load_highs`), so
-    no solve's clock covers that import; no other adapter loads scipy.
+    It reads no file. Making one loads HiGHS's binding (`lpsolve.load_highs`),
+    so no solve's clock covers that load; no other adapter loads it.
     """
 
     name = "builtin"
@@ -223,7 +223,9 @@ class CommandAdapter:
     def argv(self, lp_path: Path, time_limit: float, seed: int, solout: Path) -> list[str]:
         subst = {
             "model": str(lp_path),
-            "timelimit": f"{time_limit:g}",
+            # the shortest text that reads back as the same float; a whole
+            # number of seconds stays an integer, which some solvers require
+            "timelimit": repr(float(time_limit)).removesuffix(".0"),
             "seed": str(seed),
             "solout": str(solout),
         }

@@ -1,4 +1,4 @@
-"""Bundled LP-file MILP solver built on scipy's HiGHS interface.
+"""Bundled LP-file MILP solver built on HiGHS's own Python binding.
 
 Installed as the `chromatic-lps` console script so the solve backend always
 has a working external solver: it reads an LP file, solves the mixed-binary
@@ -12,24 +12,29 @@ program, and writes a plain-text solution file:
 
 The status words are the values of `SolveStatus`, the one status vocabulary
 from HiGHS to the CSV row. The solving core is `solve_parsed`: it takes a
-`MilpModel`, stacks its row blocks into one sparse matrix with numpy, sets
-the column bounds, calls HiGHS, maps its status code to a `SolveStatus`
-member and collects the values. Both routes call it: the LP-file route on
-what `parse_lp` reads (`solve_lp_text`: this script, whose `main` the
-`builtin-sub` child runs once) and the in-process `builtin` adapter on the
-built model itself, with no LP text. Both give HiGHS the same arrays.
+`MilpModel`, stacks its row blocks into one CSC matrix with numpy
+(`rows_by_column`), sets the column bounds and hands them to `milp`, the one
+HiGHS call, which maps HiGHS's model status to a `SolveStatus` member. Both
+routes call it: the LP-file route on what `parse_lp` reads (`solve_lp_text`:
+this script, whose `main` the `builtin-sub` child runs once) and the
+in-process `builtin` adapter on the built model itself, with no LP text.
+Both give HiGHS the same arrays.
 
-scipy is imported in one place, `load_highs`, the first time HiGHS is
-needed: the `builtin` adapter calls it when it is made, before any solve
-clock starts, and this script calls it after its LP text has parsed.
-Importing this module, the package or its CLI loads no scipy, so a run whose
-solver is a child process (`builtin-sub` or a JSON adapter) never pays for
-it in the parent.
+HiGHS (Huangfu and Hall, Math. Prog. Comp. 10, 2018) comes with scipy, as
+the pybind11 module `scipy.optimize._highspy._core`. `load_highs` loads that
+one extension from its file the first time HiGHS is needed, so no process
+imports the `scipy.optimize` or `scipy.sparse` packages: the `builtin`
+adapter calls it when it is made, before any solve clock starts, and this
+script when its LP text has parsed. Importing this module, the package or
+its CLI loads no part of scipy.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib.machinery
+import importlib.util
+import os
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -62,16 +67,104 @@ class RawSolve:
     log: str = ""
 
 
+HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
 @functools.cache
 def load_highs():
-    """Import scipy's HiGHS interface once; return `(scipy.optimize, scipy.sparse)`."""
-    from scipy import optimize, sparse
-    return optimize, sparse
+    """HiGHS's own Python binding, the module scipy vendors as `HIGHS_MODULE`.
+
+    It is loaded from its file under the installed scipy, so neither the
+    `scipy` nor the `scipy.optimize` package `__init__` runs. The module is
+    registered under its own name, so a later `import scipy.optimize` in the
+    same process reuses it rather than loading the extension a second time.
+    """
+    if HIGHS_MODULE in sys.modules:
+        return sys.modules[HIGHS_MODULE]
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        HIGHS_MODULE, [os.path.join(root, "optimize", "_highspy")
+                       for root in scipy.submodule_search_locations])
+    if spec is None:
+        raise ImportError(f"HiGHS's Python binding {HIGHS_MODULE} is missing: "
+                          "chromatic needs scipy>=1.15")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[HIGHS_MODULE] = module
+    spec.loader.exec_module(module)
+    return module
 
 
-def milp(**kwargs):
-    """`scipy.optimize.milp`, the one HiGHS call; returns its result as is."""
-    return load_highs()[0].milp(**kwargs)
+@dataclass(frozen=True)
+class HighsResult:
+    """What one HiGHS run reports. `x` and `fun` are None without an
+    incumbent, the dual bound and gap also for a continuous model; an LP
+    counts 0 nodes."""
+
+    status: SolveStatus
+    x: list[float] | None
+    fun: float | None
+    message: str
+    mip_node_count: int
+    mip_dual_bound: float | None
+    mip_gap: float | None
+
+
+def milp(*, c, indptr, indices, data, row_lower, row_upper, col_lower, col_upper,
+         num_binary, time_limit) -> HighsResult:
+    """Minimize c @ x subject to row_lower <= A @ x <= row_upper and the column
+    bounds, with HiGHS: the one HiGHS call. A is the CSC matrix (indptr,
+    indices, data); the first `num_binary` columns are integer. Raises
+    ValueError for a model HiGHS must not be given or refuses to load.
+    """
+    if not c.size or not (np.isfinite(c).all() and np.isfinite(data).all()):
+        raise ValueError("needs at least one column, and finite objective and row coefficients")
+    highs = load_highs()
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(row_lower)
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = indptr
+    lp.a_matrix_.index_ = indices
+    lp.a_matrix_.value_ = data
+    lp.col_cost_ = c
+    lp.col_lower_ = col_lower
+    lp.col_upper_ = col_upper
+    lp.row_lower_ = row_lower
+    lp.row_upper_ = row_upper
+    lp.integrality_ = ([highs.HighsVarType.kInteger] * num_binary
+                       + [highs.HighsVarType.kContinuous] * (len(c) - num_binary))
+
+    solver = highs._Highs()
+    for option, value in (("log_to_console", False), ("time_limit", time_limit),
+                          ("mip_rel_gap", 0.0)):
+        if solver.setOptionValue(option, value) != highs.HighsStatus.kOk:
+            raise ValueError(f"HiGHS refused option {option}={value!r}")
+    if solver.passModel(lp) == highs.HighsStatus.kError:
+        raise ValueError("HiGHS refused the model")
+    solver.run()
+
+    model_status = solver.getModelStatus()
+    info = solver.getInfo()
+    mip = num_binary > 0
+    HighsModelStatus = highs.HighsModelStatus
+    limit = model_status in (HighsModelStatus.kTimeLimit, HighsModelStatus.kIterationLimit)
+    incumbent = model_status == HighsModelStatus.kOptimal or (
+        mip and limit and info.objective_function_value < highs.kHighsInf)
+    if limit:
+        status = SolveStatus.FEASIBLE if incumbent else SolveStatus.TIMEOUT_NO_SOLUTION
+    else:
+        status = {HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
+                  HighsModelStatus.kInfeasible: SolveStatus.INFEASIBLE,
+                  HighsModelStatus.kUnbounded: SolveStatus.UNBOUNDED}.get(model_status,
+                                                                          SolveStatus.ERROR)
+    return HighsResult(
+        status=status,
+        x=solver.getSolution().col_value if incumbent else None,
+        fun=info.objective_function_value if incumbent else None,
+        message=solver.modelStatusToString(model_status),
+        mip_node_count=max(info.mip_node_count, 0),
+        mip_dual_bound=info.mip_dual_bound if mip and incumbent else None,
+        mip_gap=info.mip_gap if mip and incumbent else None)
 
 
 DEFAULT_TIME_LIMIT = 3600.0
@@ -92,6 +185,32 @@ def seconds(value: str | float) -> float:
     return value
 
 
+def rows_by_column(model: MilpModel) -> dict[str, np.ndarray]:
+    """The model's row blocks stacked into one CSC matrix with its row bounds.
+
+    Entries are sorted by (column, row) and duplicates summed, in numpy; the
+    arrays equal scipy's `csc_array(csr_matrix((coefs, (rows, cols))))`."""
+    blocks = model.blocks
+
+    def stacked(arrays, dtype=np.float64):
+        return np.concatenate([np.zeros(0, dtype), *arrays])
+
+    widths = stacked((np.diff(block.indptr) for block in blocks), np.int64)
+    rows = np.repeat(np.arange(len(widths), dtype=np.int32), widths)
+    cols = stacked((block.cols for block in blocks), np.int64)
+    order = np.lexsort((rows, cols))
+    rows, cols = rows[order], cols[order]
+    coefs = stacked(block.coefs for block in blocks)[order]
+    distinct = np.ones(len(rows), dtype=bool)
+    distinct[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    first = np.flatnonzero(distinct)
+    data = np.add.reduceat(coefs, first) if len(first) else coefs
+    indptr = np.searchsorted(cols[first], np.arange(len(model.variables) + 1)).astype(np.int32)
+    return {"indptr": indptr, "indices": rows[first], "data": data,
+            "row_lower": stacked(block.lo for block in blocks),
+            "row_upper": stacked(block.hi for block in blocks)}
+
+
 def solve_parsed(model: MilpModel, time_limit: float = DEFAULT_TIME_LIMIT) -> RawSolve:
     names = model.variables
     nvar = len(names)
@@ -107,47 +226,20 @@ def solve_parsed(model: MilpModel, time_limit: float = DEFAULT_TIME_LIMIT) -> Ra
     upper[:model.num_binary] = 1.0
     for name, (lo, hi) in model.bounds.items():
         lower[model.columns[name]], upper[model.columns[name]] = lo, hi
-    integrality = np.zeros(nvar)
-    integrality[:model.num_binary] = 1.0
-
-    optimize, sparse = load_highs()
-    constraints = []
-    blocks = model.blocks
-    if model.num_rows:
-        widths = np.concatenate([np.diff(block.indptr) for block in blocks])
-        rows = np.repeat(np.arange(len(widths)), widths)
-        cols = np.concatenate([block.cols for block in blocks])
-        coefs = np.concatenate([block.coefs for block in blocks])
-        matrix = sparse.csr_matrix((coefs, (rows, cols)), shape=(len(widths), nvar))
-        constraints = [optimize.LinearConstraint(
-            matrix, np.concatenate([block.lo for block in blocks]),
-            np.concatenate([block.hi for block in blocks]))]
 
     try:
-        res = milp(c=c, constraints=constraints, integrality=integrality,
-                   bounds=optimize.Bounds(lower, upper),
-                   options={"time_limit": float(time_limit), "mip_rel_gap": 0.0})
+        res = milp(c=c, **rows_by_column(model), col_lower=lower, col_upper=upper,
+                   num_binary=model.num_binary, time_limit=float(time_limit))
     except ValueError as exc:
         return RawSolve(SolveStatus.ERROR, None, None, None, f"solver rejected model: {exc}")
 
-    incumbent = res.x is not None
-    objective = sign * float(res.fun) if incumbent else None
-    bound = getattr(res, "mip_dual_bound", None)
-    if bound is not None and np.isfinite(bound):
-        bound = sign * float(bound)
-    else:
-        bound = None
-
-    if res.status == 1:  # time limit
-        status = SolveStatus.FEASIBLE if incumbent else SolveStatus.TIMEOUT_NO_SOLUTION
-    else:
-        status = {0: SolveStatus.OPTIMAL, 2: SolveStatus.INFEASIBLE,
-                  3: SolveStatus.UNBOUNDED}.get(res.status, SolveStatus.ERROR)
-    if status is SolveStatus.OPTIMAL and bound is None:
+    objective = sign * res.fun if res.x is not None else None
+    bound = res.mip_dual_bound
+    bound = sign * bound if bound is not None and np.isfinite(bound) else None
+    if res.status is SolveStatus.OPTIMAL and bound is None:
         bound = objective
-
-    values = dict(zip(names, res.x.tolist())) if incumbent else None
-    return RawSolve(status, objective, bound, values, str(res.message))
+    values = dict(zip(names, res.x)) if res.x is not None else None
+    return RawSolve(res.status, objective, bound, values, res.message)
 
 
 def solve_lp_text(text: str, time_limit: float = DEFAULT_TIME_LIMIT) -> RawSolve:

@@ -5,9 +5,11 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import sparse
 
 import chromatic
 from chromatic import backend, families, lpsolve
@@ -190,7 +192,7 @@ ROUTE_GRAPHS = [gnp_random(n, p, seed=n) for n in (8, 10, 12) for p in (0.3, 0.7
 
 
 def _milp_arrays(monkeypatch, call):
-    """Run `call` and return every array it hands to the one HiGHS call."""
+    """Run `call` and return every argument it hands to the one HiGHS call, as arrays."""
     seen = []
     real = lpsolve.milp
 
@@ -204,11 +206,7 @@ def _milp_arrays(monkeypatch, call):
     finally:
         monkeypatch.setattr(lpsolve, "milp", real)
     (kwargs,) = seen
-    (rows,) = kwargs["constraints"]
-    return {"c": kwargs["c"], "integrality": kwargs["integrality"],
-            "lb": kwargs["bounds"].lb, "ub": kwargs["bounds"].ub,
-            "indptr": rows.A.indptr, "indices": rows.A.indices, "data": rows.A.data,
-            "row_lo": rows.lb, "row_hi": rows.ub}
+    return {key: np.asarray(value) for key, value in kwargs.items()}
 
 
 class TestInProcessRoute:
@@ -282,6 +280,21 @@ def _captured_milp_arrays(monkeypatch, model):
         monkeypatch.undo()
 
 
+def _scipy_milp_layout(arrays: dict) -> dict:
+    """The same arrays in the layout `scipy.optimize.milp` was once given,
+    the one GOLDEN_MODEL_DIGESTS pins: a float 0/1 integrality vector and
+    the matrix by row (CSR), which scipy turned into the CSC HiGHS gets."""
+    nvar = len(arrays["c"])
+    integrality = np.zeros(nvar)
+    integrality[:int(arrays["num_binary"])] = 1.0
+    by_row = sparse.csc_array((arrays["data"], arrays["indices"], arrays["indptr"]),
+                              shape=(len(arrays["row_lower"]), nvar)).tocsr()
+    return {"c": arrays["c"], "integrality": integrality,
+            "lb": arrays["col_lower"], "ub": arrays["col_upper"],
+            "indptr": by_row.indptr, "indices": by_row.indices, "data": by_row.data,
+            "row_lo": arrays["row_lower"], "row_hi": arrays["row_upper"]}
+
+
 # SHA-256 of the emitted LP bytes and of the HiGHS arrays, each over all of
 # GOLDEN_GRAPHS in order, per (formulation, clique fixings).
 GOLDEN_MODEL_DIGESTS = {
@@ -321,9 +334,32 @@ class TestGoldenModelBytes:
             if fixed:
                 model = apply_clique_fixings(model, inst)
             lp_hash.update(emit_lp(model).encode())
-            arrays_hash.update(_digest_arrays(_captured_milp_arrays(monkeypatch, model)).encode())
+            arrays = _scipy_milp_layout(_captured_milp_arrays(monkeypatch, model))
+            arrays_hash.update(_digest_arrays(arrays).encode())
         got = (lp_hash.hexdigest(), arrays_hash.hexdigest())
         assert got == GOLDEN_MODEL_DIGESTS[kind, fixed]
+
+
+    @pytest.mark.parametrize("fixed", [False, True], ids=["plain", "fixed"])
+    @pytest.mark.parametrize("kind", FORMULATIONS)
+    def test_matrix_is_scipys_csc(self, monkeypatch, kind, fixed):
+        # HiGHS gets the CSC arrays scipy derived from the stacked row blocks
+        for position in range(len(GOLDEN_GRAPHS)):
+            inst = _golden_instance(position)
+            model = build_formulation(kind, inst)
+            if fixed:
+                model = apply_clique_fixings(model, inst)
+            got = _captured_milp_arrays(monkeypatch, model)
+            widths = np.concatenate([np.diff(block.indptr) for block in model.blocks])
+            rows = np.repeat(np.arange(len(widths)), widths)
+            cols = np.concatenate([block.cols for block in model.blocks])
+            coefs = np.concatenate([block.coefs for block in model.blocks])
+            expected = sparse.csc_array(sparse.csr_matrix(
+                (coefs, (rows, cols)), shape=(len(widths), len(model.variables))))
+            for key in ("indptr", "indices", "data"):
+                want = getattr(expected, key)
+                assert got[key].dtype == want.dtype and got[key].tobytes() == want.tobytes(), \
+                    (position, key)
 
 
 class TestSubprocessAdapter:
@@ -371,6 +407,11 @@ class TestSubprocessAdapter:
         argv = adapter.argv(tmp_path / "m.lp", 60.0, 7, tmp_path / "m.sol")
         assert argv == ["mysolver", str(tmp_path / "m.lp"), "--tl", "60",
                         "--seed", "7", "--write", str(tmp_path / "m.sol")]
+
+    @pytest.mark.parametrize("limit", [123456.7, 1234.5678, 0.1, 60.0])
+    def test_child_reads_back_the_parents_time_limit(self, tmp_path, limit):
+        argv = builtin_subprocess_adapter().argv(tmp_path / "m.lp", limit, 0, tmp_path / "m.sol")
+        assert lpsolve.seconds(argv[argv.index("--time-limit") + 1]) == limit
 
     def test_env_override_changes_executable(self, tmp_path, monkeypatch):
         # the override replaces a config's path where it is read; argv runs it as given

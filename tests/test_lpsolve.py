@@ -1,6 +1,13 @@
+import importlib.util
+import math
+import sys
+from dataclasses import replace
+
 import pytest
 
-from chromatic.lpsolve import SolveStatus, main, render_solution, solve_lp_text
+from chromatic import lpsolve
+from chromatic.lp import parse_lp
+from chromatic.lpsolve import SolveStatus, main, render_solution, solve_lp_text, solve_parsed
 
 
 def test_minimize_binary():
@@ -91,3 +98,54 @@ def test_time_limit_must_be_finite_and_positive(tmp_path, capsys, value):
     assert raised.value.code == 2
     assert "argument --time-limit: " in capsys.readouterr().err
     assert not solution.exists()
+
+
+def test_infeasible_solve_counts_its_nodes(monkeypatch):
+    # HiGHS reports a node count for a model it proves infeasible too
+    seen = []
+    real = lpsolve.milp
+
+    def spy(**kwargs):
+        seen.append(real(**kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(lpsolve, "milp", spy)
+    outcome = solve_lp_text(
+        "Minimize\n obj: x + y\nSubject To\n c1: x + y >= 3\nBinaries\n x y\nEnd\n",
+        time_limit=10)
+    assert outcome.status is SolveStatus.INFEASIBLE
+    (result,) = seen
+    assert result.status is SolveStatus.INFEASIBLE and result.x is None
+    assert isinstance(result.mip_node_count, int) and result.mip_node_count >= 0
+
+
+@pytest.mark.parametrize("coefficient", [math.nan, math.inf, -math.inf])
+def test_non_finite_objective_is_rejected_before_highs(monkeypatch, coefficient):
+    model = parse_lp("Minimize\n obj: x + y\nSubject To\n c1: x + y >= 1\nBinaries\n x y\nEnd\n")
+    model = replace(model, objective=(("x", coefficient), ("y", 1.0)))
+
+    def no_highs():
+        raise AssertionError("HiGHS loaded for a rejected model")
+
+    monkeypatch.setattr(lpsolve, "load_highs", no_highs)
+    outcome = solve_parsed(model, time_limit=10)
+    assert (outcome.status, outcome.objective, outcome.bound, outcome.values) == (
+        SolveStatus.ERROR, None, None, None)
+    assert outcome.log.startswith("solver rejected model: ")
+
+
+@pytest.mark.parametrize("coefficient", ["1e400", "1e300"], ids=["infinite", "huge"])
+def test_row_coefficient_highs_cannot_take_is_an_error_not_infeasible(coefficient):
+    # 1e400 reads as inf and is refused before HiGHS; HiGHS refuses 1e300 itself
+    outcome = solve_lp_text(
+        f"Minimize\n obj: x\nSubject To\n c1: x + {coefficient} y >= 1\nBinaries\n x y\nEnd\n",
+        time_limit=10)
+    assert (outcome.status, outcome.values) == (SolveStatus.ERROR, None)
+    assert outcome.log.startswith("solver rejected model: ")
+
+
+def test_missing_binding_names_the_scipy_it_needs(monkeypatch):
+    monkeypatch.delitem(sys.modules, lpsolve.HIGHS_MODULE, raising=False)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match=r"scipy>=1\.15"):
+        lpsolve.load_highs.__wrapped__()
