@@ -339,7 +339,6 @@ class TestGoldenModelBytes:
         got = (lp_hash.hexdigest(), arrays_hash.hexdigest())
         assert got == GOLDEN_MODEL_DIGESTS[kind, fixed]
 
-
     @pytest.mark.parametrize("fixed", [False, True], ids=["plain", "fixed"])
     @pytest.mark.parametrize("kind", FORMULATIONS)
     def test_matrix_is_scipys_csc(self, monkeypatch, kind, fixed):

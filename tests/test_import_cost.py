@@ -73,3 +73,14 @@ def test_scipy_milp_still_works_after_the_binding_loads():
         "    constraints=scipy.optimize.LinearConstraint([[1, 1]], 1, 2))\n"
         f"print(json.dumps([res.status, sys.modules[{HIGHS_MODULE!r}] is binding]))")
     assert (status, same) == (0, True)
+
+
+def test_binding_is_scipys_own_when_scipy_optimize_came_first():
+    status, same = fresh(
+        "import scipy.optimize\n"
+        "from chromatic import lpsolve\n"
+        "outcome = lpsolve.solve_lp_text('Minimize\\n obj: x\\nSubject To\\n c: x >= 1\\n'\n"
+        "                                'Binaries\\n x\\nEnd\\n', time_limit=10)\n"
+        "print(json.dumps([outcome.status.value,\n"
+        "                  lpsolve.load_highs() is scipy.optimize._highspy._core]))")
+    assert (status, same) == ("optimal", True)
