@@ -75,9 +75,10 @@ def load_highs():
     """HiGHS's own Python binding, the module scipy vendors as `HIGHS_MODULE`.
 
     It is loaded from its file under the installed scipy, so neither the
-    `scipy` nor the `scipy.optimize` package `__init__` runs. The module is
-    registered under its own name, so a later `import scipy.optimize` in the
-    same process reuses it rather than loading the extension a second time.
+    `scipy` nor the `scipy.optimize` package `__init__` runs. The extension
+    is initialised once per process: one scipy already loaded is returned as
+    is, and this one is registered under its own name, so a later `import
+    scipy.optimize` reuses it.
     """
     if HIGHS_MODULE in sys.modules:
         return sys.modules[HIGHS_MODULE]
