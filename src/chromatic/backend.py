@@ -35,9 +35,10 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import lpsolve
+from .container import VALUE_TOLERANCE, ExtractionError, MilpModel
 from .lp import _NAME, _NUM, emit_lp
 from .lpsolve import DEFAULT_TIME_LIMIT, RawSolve, SolveStatus
-from .models import VALUE_TOLERANCE, ExtractionError, MilpModel, binary_value, objective_value
+from .models import binary_value, objective_value
 
 KILL_GRACE_SECONDS = 10.0
 

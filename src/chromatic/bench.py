@@ -28,7 +28,6 @@ import csv
 import io
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -249,6 +248,8 @@ def run_bench(manifest: list[ManifestRow], base_dir: str | Path,
     tasks = [(str(base / row.file), row.name, cfg, row.hardness_class)
              for row in manifest]
     if cfg.jobs > 1:
+        # imported here: the pool and multiprocessing load only when a run uses them
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             grouped = list(pool.map(_bench_one, tasks))
     else:

@@ -164,6 +164,12 @@ def gnp_random(n: int, p: float, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def boundary_edges(g: Graph, clique) -> tuple[tuple[int, int], ...]:
+    """delta(Q): edges with exactly one endpoint inside the clique."""
+    q = set(clique)
+    return tuple(e for e in g.edges if (e[0] in q) != (e[1] in q))
+
+
 def verify_coloring(g: Graph, c: Coloring) -> VerifyReport:
     """Check a total coloring against every edge of g.
 

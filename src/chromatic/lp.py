@@ -9,9 +9,10 @@ portably inside the format, so it travels as a structured comment and is
 re-applied by whoever normalizes results.
 
 The parser reads the same dialect back into the model container the
-builders make, `MilpModel`, with all rows in one block; it feeds the
-bundled solver's `chromatic-lps` child and the emit/parse self-checks. The
-in-process solve writes and parses no text: it hands the built model to the
+builders make, `container.MilpModel`, with all rows in one block; it feeds
+the bundled solver's `chromatic-lps` child and the emit/parse self-checks.
+This module imports only that container, not the builders. The in-process
+solve writes and parses no text: it hands the built model to the
 solver as it is. One grammar covers what it reads:
 
   section headers  a line holding one keyword of `_SECTIONS`, in any ASCII
@@ -47,7 +48,7 @@ import re
 
 import numpy as np
 
-from .models import INF, MilpModel, RowBlock, row_sense
+from .container import INF, MilpModel, RowBlock, row_sense
 
 MAX_LINE = 200
 

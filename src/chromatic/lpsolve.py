@@ -20,6 +20,10 @@ this script, whose `main` the `builtin-sub` child runs once) and the
 in-process `builtin` adapter on the built model itself, with no LP text.
 Both give HiGHS the same arrays.
 
+Of this package the child loads only this module, `lp`, the model container
+`container` and the package `__init__`, whose public names bind on first
+use: no builder, preprocessing, graph or benchmark code.
+
 HiGHS (Huangfu and Hall, Math. Prog. Comp. 10, 2018) comes with scipy, as
 the pybind11 module `scipy.optimize._highspy._core`. `load_highs` loads that
 one extension from its file the first time HiGHS is needed, so no process
@@ -41,8 +45,8 @@ from enum import Enum
 
 import numpy as np
 
+from .container import MilpModel
 from .lp import LpParseError, parse_lp
-from .models import MilpModel
 
 
 class SolveStatus(str, Enum):

@@ -277,12 +277,6 @@ def _check_clique(g: Graph, clique) -> None:
                 raise NotACliqueError(f"vertices {u} and {v} are not adjacent")
 
 
-def boundary_edges(g: Graph, clique) -> tuple[tuple[int, int], ...]:
-    """delta(Q): edges with exactly one endpoint inside the clique."""
-    q = set(clique)
-    return tuple(e for e in g.edges if (e[0] in q) != (e[1] in q))
-
-
 def _read_words(rng: random.Random, stream: str, skip: int) -> bytes:
     """`CLIQUE_WORDS` successive 32-bit outputs of `stream` after its first
     `skip`, little-endian: `getrandbits(32 * w)` lays out w outputs in that

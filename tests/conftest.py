@@ -1,4 +1,8 @@
-"""Shared Hypothesis profile, fixtures directory, row readers and NullAdapter double."""
+"""Shared Hypothesis profile, fixtures directory, row readers, NullAdapter double
+and fresh-interpreter runner."""
+import json
+import subprocess
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -6,11 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import chromatic
 from chromatic import bench
 from chromatic.backend import RawSolve, SolveStatus
+from chromatic.container import row_sense
 from chromatic.graph import Coloring
-from chromatic.models import (MilpModel, ModelError, check_feasible, encode_coloring,
-                              objective_value, row_sense)
+from chromatic.models import MilpModel, ModelError, check_feasible, encode_coloring, objective_value
 from chromatic.oracle import chromatic_number_exact
 
 settings.register_profile(
@@ -20,6 +25,18 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+PACKAGE_ROOT = str(Path(chromatic.__file__).resolve().parents[1])
+
+
+def fresh(code: str):
+    """Run `code` in a new interpreter that imports this package copy; return
+    what it printed last, as JSON."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import json, sys; sys.path.insert(0, {PACKAGE_ROOT!r})\n{code}"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def pytest_addoption(parser):

@@ -1,32 +1,39 @@
 """No chromatic process imports scipy.optimize or scipy.sparse; the HiGHS
-binding loads only where HiGHS runs in-process. Each case runs in a fresh
-interpreter."""
-import json
-import subprocess
-import sys
-from pathlib import Path
-
-import chromatic
+binding loads only where HiGHS runs in-process; the `builtin-sub` child
+loads four modules of the package and no process pool. Each case runs in a
+fresh interpreter."""
 from chromatic.lpsolve import HIGHS_MODULE
+from conftest import fresh
 
-PACKAGE_ROOT = str(Path(chromatic.__file__).resolve().parents[1])
 # which of the scipy packages are in sys.modules, as an expression
 PACKAGES = "[m for m in ('scipy', 'scipy.optimize', 'scipy.sparse') if m in sys.modules]"
+CHILD_MODULES = ["chromatic", "chromatic.container", "chromatic.lp", "chromatic.lpsolve"]
 
 
-def fresh(code: str):
-    """Run `code` in a new interpreter that imports this package copy; return
-    what it printed last, as JSON."""
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import json, sys; sys.path.insert(0, {PACKAGE_ROOT!r})\n{code}"],
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+def solve_in_child(tmp_path, report: str):
+    """Run `lpsolve.main` on a 1-row LP in a fresh interpreter, imported as
+    the `builtin-sub` child imports it; return the expression `report` then."""
+    (tmp_path / "model.lp").write_text(
+        "Minimize\n obj: x + y\nSubject To\n c1: x + y >= 1\nBinaries\n x y\nEnd\n")
+    solution = tmp_path / "model.sol"
+    loaded = fresh("import chromatic.lpsolve\n"
+                   f"assert chromatic.lpsolve.main([{str(tmp_path / 'model.lp')!r}, "
+                   f"'--out', {str(solution)!r}]) == 0\n"
+                   f"print(json.dumps({report}))")
+    assert "status optimal" in solution.read_text()
+    return loaded
 
 
 def test_package_and_cli_import_no_scipy():
     loaded = fresh("import chromatic, chromatic.cli\n"
                    "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))")
+    assert loaded == []
+
+
+def test_cli_and_bench_load_no_process_pool_until_a_run_uses_one():
+    loaded = fresh("import chromatic.cli, chromatic.bench\n"
+                   "print(json.dumps([m for m in ('concurrent.futures.process', 'multiprocessing')\n"
+                   "                  if m in sys.modules]))")
     assert loaded == []
 
 
@@ -52,15 +59,14 @@ def test_builtin_adapter_loads_highs_when_made():
 
 
 def test_chromatic_lps_child_imports_no_scipy_package(tmp_path):
-    (tmp_path / "model.lp").write_text(
-        "Minimize\n obj: x + y\nSubject To\n c1: x + y >= 1\nBinaries\n x y\nEnd\n")
-    solution = tmp_path / "model.sol"
-    loaded = fresh("from chromatic import lpsolve\n"
-                   f"assert lpsolve.main([{str(tmp_path / 'model.lp')!r}, "
-                   f"'--out', {str(solution)!r}]) == 0\n"
-                   f"print(json.dumps({PACKAGES}))")
-    assert loaded == []
-    assert "status optimal" in solution.read_text()
+    assert solve_in_child(tmp_path, PACKAGES) == []
+
+
+def test_chromatic_lps_child_loads_only_the_lp_reader_container_and_driver(tmp_path):
+    package, pool = solve_in_child(
+        tmp_path, "[sorted(m for m in sys.modules if m.split('.')[0] == 'chromatic'), "
+                  "'concurrent.futures' in sys.modules]")
+    assert (package, pool) == (CHILD_MODULES, False)
 
 
 def test_scipy_milp_still_works_after_the_binding_loads():

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromatic import families, preprocess
-from chromatic.graph import Coloring, ColoringError, Graph, gnp_random, verify_coloring
+from chromatic.graph import (Coloring, ColoringError, Graph, boundary_edges, gnp_random,
+                             verify_coloring)
 from chromatic.oracle import chromatic_number_exact, _greedy_clique
-from chromatic.preprocess import (CLIQUE_BLOCK, CLIQUE_WORDS, ReducedInstance,
-                                  boundary_edges, find_clique, greedy_upper_bound,
-                                  preprocess_pipeline, remove_dominated, restore_coloring,
-                                  tabucol)
+from chromatic.preprocess import (CLIQUE_BLOCK, CLIQUE_WORDS, ReducedInstance, find_clique,
+                                  greedy_upper_bound, preprocess_pipeline, remove_dominated,
+                                  restore_coloring, tabucol)
 
 
 class TestRemoveDominated:

@@ -1,4 +1,5 @@
-"""The package's public surface: `__all__` is exact, and deleted names stay gone."""
+"""The package's public surface: `__all__` is exact, names bind on first use,
+and deleted names stay gone."""
 import importlib
 import pkgutil
 from dataclasses import fields
@@ -10,6 +11,7 @@ from chromatic.backend import SolveResult
 from chromatic.bench import RunConfig
 from chromatic.graph import Graph
 from chromatic.models import MilpModel, RowBlock
+from conftest import fresh
 
 MODULES = [chromatic] + [importlib.import_module(f"chromatic.{info.name}")
                          for info in pkgutil.iter_modules(chromatic.__path__)]
@@ -18,6 +20,32 @@ MODULES = [chromatic] + [importlib.import_module(f"chromatic.{info.name}")
 def test_every_exported_name_is_bound_once():
     assert len(set(chromatic.__all__)) == len(chromatic.__all__)
     assert [name for name in chromatic.__all__ if not hasattr(chromatic, name)] == []
+
+
+def test_import_loads_no_submodule():
+    assert fresh("import chromatic\n"
+                 "print(json.dumps([m for m in sys.modules if m.startswith('chromatic.')]))") == []
+
+
+def test_dir_lists_and_star_import_binds_every_exported_name():
+    listed, missing = fresh("import chromatic\n"
+                            "listed = set(chromatic.__all__) <= set(dir(chromatic))\n"
+                            "from chromatic import *\n"
+                            "print(json.dumps([listed,\n"
+                            "                  [n for n in chromatic.__all__ if n not in globals()]]))")
+    assert (listed, missing) == (True, [])
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(chromatic, "no_such_name")
+
+
+def test_container_class_is_one_object_under_every_name():
+    one = fresh("import chromatic, chromatic.models, chromatic.lp\n"
+                "print(json.dumps(chromatic.MilpModel is chromatic.models.MilpModel\n"
+                "                 is chromatic.lp.MilpModel))")
+    assert one is True
 
 
 @pytest.mark.parametrize("name", ["complement", "strip_time_columns", "Constraint",
