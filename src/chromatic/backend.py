@@ -184,8 +184,10 @@ class BuiltinAdapter:
     """Default adapter: the bundled HiGHS core, run in-process on the model.
 
     `lpsolve.solve_parsed` takes the built model itself, its row blocks,
-    bounds and column order, as `chromatic-lps` takes what `parse_lp`
-    reads from the LP file, so HiGHS sees the same arrays on both routes.
+    bounds and column order, and runs HiGHS with the options and status
+    rule that `chromatic-lps` runs on what HiGHS's own reader makes of the
+    LP file. That reader orders the columns by first appearance, so the
+    two routes may report different optimal solutions of the same model.
     It reads no file. Making one loads HiGHS's binding (`lpsolve.load_highs`),
     so no solve's clock covers that load; no other adapter loads it.
     """

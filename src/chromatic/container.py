@@ -2,9 +2,8 @@
 
 The formulation builders in `models` make these models, `lp` writes and
 reads them as LP text, and `lpsolve` hands them to HiGHS. This module holds
-only the container, its row-sense rule and its errors, so the `builtin-sub`
-solver child, which needs `lp` and `lpsolve` alone, loads none of the
-builders, the preprocessing or the graph code.
+only the container, its row-sense rule and its errors, so the LP writer and
+reader load none of the builders, the preprocessing or the graph code.
 
 Column j of a model is `variables[j]`. Its rows live in `RowBlock`s, one
 per constraint family (and, for `rep`, per vertex, to keep the textbook row

@@ -9,11 +9,13 @@ portably inside the format, so it travels as a structured comment and is
 re-applied by whoever normalizes results.
 
 The parser reads the same dialect back into the model container the
-builders make, `container.MilpModel`, with all rows in one block; it feeds
-the bundled solver's `chromatic-lps` child and the emit/parse self-checks.
-This module imports only that container, not the builders. The in-process
-solve writes and parses no text: it hands the built model to the
-solver as it is. One grammar covers what it reads:
+builders make, `container.MilpModel`, with all rows in one block, for the
+library and the emit/parse self-checks; `lpsolve.solve_parsed` solves what
+it reads. This module imports only that container, not the builders.
+Neither solve route calls it: the in-process solve hands the built model
+to the solver as it is, and the bundled solver's `chromatic-lps` child
+hands its file to HiGHS's own LP reader, which reads more leniently than
+this grammar. One grammar covers what it reads:
 
   section headers  a line holding one keyword of `_SECTIONS`, in any ASCII
                    case:

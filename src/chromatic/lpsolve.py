@@ -11,26 +11,36 @@ program, and writes a plain-text solution file:
     v <name> <value>             (one line per variable, incumbent only)
 
 The status words are the values of `SolveStatus`, the one status vocabulary
-from HiGHS to the CSV row. The solving core is `solve_parsed`: it takes a
-`MilpModel`, stacks its row blocks into one CSC matrix with numpy
-(`rows_by_column`), sets the column bounds and hands them to `milp`, the one
-HiGHS call, which maps HiGHS's model status to a `SolveStatus` member. Both
-routes call it: the LP-file route on what `parse_lp` reads (`solve_lp_text`:
-this script, whose `main` the `builtin-sub` child runs once) and the
-in-process `builtin` adapter on the built model itself, with no LP text.
-Both give HiGHS the same arrays.
+from HiGHS to the CSV row. Two routes reach HiGHS, and one helper,
+`run_highs`, sets the options, runs HiGHS and maps its model status to a
+`SolveStatus` member for both; `_outcome` turns what it reports into a
+`RawSolve`:
 
-Of this package the child loads only this module, `lp`, the model container
-`container` and the package `__init__`, whose public names bind on first
-use: no builder, preprocessing, graph or benchmark code.
+  in process   `solve_parsed` takes a `MilpModel` (what the builders make,
+               or what `lp.parse_lp` reads), stacks its row blocks into one
+               CSC matrix with numpy (`rows_by_column`), sets the column
+               bounds and hands them to `milp`, which fills a `HighsLp`.
+               The `builtin` adapter runs it on the built model, with no
+               LP text.
+  from a file  `solve_lp_file` has HiGHS's own LP reader load the file and
+               checks what it read. This script, whose `main` the
+               `builtin-sub` child runs once, takes that route. HiGHS
+               numbers the columns by first appearance, not in `Binaries`
+               order, so it may pick another optimal solution than in
+               process.
+
+This module imports only the standard library when it loads; numpy is
+imported inside the in-process functions. So the child loads two modules
+of this package, the package `__init__`, whose public names bind on first
+use, and this one: no numpy, no LP parser, no builder.
 
 HiGHS (Huangfu and Hall, Math. Prog. Comp. 10, 2018) comes with scipy, as
 the pybind11 module `scipy.optimize._highspy._core`. `load_highs` loads that
 one extension from its file the first time HiGHS is needed, so no process
 imports the `scipy.optimize` or `scipy.sparse` packages: the `builtin`
 adapter calls it when it is made, before any solve clock starts, and this
-script when its LP text has parsed. Importing this module, the package or
-its CLI loads no part of scipy.
+script when it reads its file. Importing this module, the package or its
+CLI loads no part of scipy.
 """
 from __future__ import annotations
 
@@ -38,15 +48,18 @@ import argparse
 import functools
 import importlib.machinery
 import importlib.util
+import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .container import MilpModel
-from .lp import LpParseError, parse_lp
+    from .container import MilpModel
 
 
 class SolveStatus(str, Enum):
@@ -114,43 +127,25 @@ class HighsResult:
     mip_gap: float | None
 
 
-def milp(*, c, indptr, indices, data, row_lower, row_upper, col_lower, col_upper,
-         num_binary, time_limit) -> HighsResult:
-    """Minimize c @ x subject to row_lower <= A @ x <= row_upper and the column
-    bounds, with HiGHS: the one HiGHS call. A is the CSC matrix (indptr,
-    indices, data); the first `num_binary` columns are integer. Raises
-    ValueError for a model HiGHS must not be given or refuses to load.
-    """
-    if not c.size or not (np.isfinite(c).all() and np.isfinite(data).all()):
-        raise ValueError("needs at least one column, and finite objective and row coefficients")
-    highs = load_highs()
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(row_lower)
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = indptr
-    lp.a_matrix_.index_ = indices
-    lp.a_matrix_.value_ = data
-    lp.col_cost_ = c
-    lp.col_lower_ = col_lower
-    lp.col_upper_ = col_upper
-    lp.row_lower_ = row_lower
-    lp.row_upper_ = row_upper
-    lp.integrality_ = ([highs.HighsVarType.kInteger] * num_binary
-                       + [highs.HighsVarType.kContinuous] * (len(c) - num_binary))
+def run_highs(load: Callable[[object, object], bool], time_limit: float) -> HighsResult:
+    """Set the run's options on a new HiGHS, `load` a model into it, run it
+    and map its model status: the one HiGHS run of both routes.
 
+    `load(highs, solver)` passes or reads the model into `solver` (`highs`
+    is the binding), raises ValueError for a model HiGHS must not run, and
+    says whether the model has integer columns.
+    """
+    highs = load_highs()
     solver = highs._Highs()
     for option, value in (("log_to_console", False), ("time_limit", time_limit),
                           ("mip_rel_gap", 0.0)):
         if solver.setOptionValue(option, value) != highs.HighsStatus.kOk:
             raise ValueError(f"HiGHS refused option {option}={value!r}")
-    if solver.passModel(lp) == highs.HighsStatus.kError:
-        raise ValueError("HiGHS refused the model")
+    mip = load(highs, solver)
     solver.run()
 
     model_status = solver.getModelStatus()
     info = solver.getInfo()
-    mip = num_binary > 0
     HighsModelStatus = highs.HighsModelStatus
     limit = model_status in (HighsModelStatus.kTimeLimit, HighsModelStatus.kIterationLimit)
     incumbent = model_status == HighsModelStatus.kOptimal or (
@@ -172,6 +167,40 @@ def milp(*, c, indptr, indices, data, row_lower, row_upper, col_lower, col_upper
         mip_gap=info.mip_gap if mip and incumbent else None)
 
 
+def milp(*, c, indptr, indices, data, row_lower, row_upper, col_lower, col_upper,
+         num_binary, time_limit) -> HighsResult:
+    """Minimize c @ x subject to row_lower <= A @ x <= row_upper and the column
+    bounds, with HiGHS. A is the CSC matrix (indptr, indices, data); the first
+    `num_binary` columns are integer. Raises ValueError for a model HiGHS must
+    not be given or refuses to load.
+    """
+    import numpy as np
+
+    if not c.size or not (np.isfinite(c).all() and np.isfinite(data).all()):
+        raise ValueError("needs at least one column, and finite objective and row coefficients")
+
+    def load(highs, solver) -> bool:
+        lp = highs.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = len(c)
+        lp.num_row_ = lp.a_matrix_.num_row_ = len(row_lower)
+        lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = indptr
+        lp.a_matrix_.index_ = indices
+        lp.a_matrix_.value_ = data
+        lp.col_cost_ = c
+        lp.col_lower_ = col_lower
+        lp.col_upper_ = col_upper
+        lp.row_lower_ = row_lower
+        lp.row_upper_ = row_upper
+        lp.integrality_ = ([highs.HighsVarType.kInteger] * num_binary
+                           + [highs.HighsVarType.kContinuous] * (len(c) - num_binary))
+        if solver.passModel(lp) == highs.HighsStatus.kError:
+            raise ValueError("HiGHS refused the model")
+        return num_binary > 0
+
+    return run_highs(load, time_limit)
+
+
 DEFAULT_TIME_LIMIT = 3600.0
 # About 11.6 days: a command adapter waits `time_limit + KILL_GRACE_SECONDS` for
 # its child, and on Linux `subprocess.run` overflows past 2**31 - 1 ms (at 3e6 s).
@@ -190,11 +219,29 @@ def seconds(value: str | float) -> float:
     return value
 
 
+def _outcome(res: HighsResult, names, sign: float) -> RawSolve:
+    """What HiGHS reported about columns `names`, as a `RawSolve` of the model
+    whose costs were multiplied by `sign` for it."""
+    objective = sign * res.fun if res.x is not None else None
+    bound = res.mip_dual_bound
+    bound = sign * bound if bound is not None and math.isfinite(bound) else None
+    if res.status is SolveStatus.OPTIMAL and bound is None:
+        bound = objective
+    values = dict(zip(names, res.x)) if res.x is not None else None
+    return RawSolve(res.status, objective, bound, values, res.message)
+
+
+def _rejected(exc: ValueError) -> RawSolve:
+    return RawSolve(SolveStatus.ERROR, None, None, None, f"solver rejected model: {exc}")
+
+
 def rows_by_column(model: MilpModel) -> dict[str, np.ndarray]:
     """The model's row blocks stacked into one CSC matrix with its row bounds.
 
     Entries are sorted by (column, row) and duplicates summed, in numpy; the
     arrays equal scipy's `csc_array(csr_matrix((coefs, (rows, cols))))`."""
+    import numpy as np
+
     blocks = model.blocks
 
     def stacked(arrays, dtype=np.float64):
@@ -217,6 +264,8 @@ def rows_by_column(model: MilpModel) -> dict[str, np.ndarray]:
 
 
 def solve_parsed(model: MilpModel, time_limit: float = DEFAULT_TIME_LIMIT) -> RawSolve:
+    import numpy as np
+
     names = model.variables
     nvar = len(names)
 
@@ -236,19 +285,64 @@ def solve_parsed(model: MilpModel, time_limit: float = DEFAULT_TIME_LIMIT) -> Ra
         res = milp(c=c, **rows_by_column(model), col_lower=lower, col_upper=upper,
                    num_binary=model.num_binary, time_limit=float(time_limit))
     except ValueError as exc:
-        return RawSolve(SolveStatus.ERROR, None, None, None, f"solver rejected model: {exc}")
-
-    objective = sign * res.fun if res.x is not None else None
-    bound = res.mip_dual_bound
-    bound = sign * bound if bound is not None and np.isfinite(bound) else None
-    if res.status is SolveStatus.OPTIMAL and bound is None:
-        bound = objective
-    values = dict(zip(names, res.x)) if res.x is not None else None
-    return RawSolve(res.status, objective, bound, values, res.message)
+        return _rejected(exc)
+    return _outcome(res, names, sign)
 
 
-def solve_lp_text(text: str, time_limit: float = DEFAULT_TIME_LIMIT) -> RawSolve:
-    return solve_parsed(parse_lp(text), time_limit=time_limit)
+class LpFileError(Exception):
+    """An LP file `chromatic-lps` does not solve, so it exits 3: HiGHS reads
+    no column from it, or a column is neither continuous nor an integer
+    within [0, 1]."""
+
+
+# `nan` where HiGHS's LP reader starts a token, first or after a blank or one
+# of its delimiters, in lower-cased text: the reader takes any case of it for
+# a number, and leaves a NaN matrix coefficient out of the model without a
+# word. The literal comes first so that the search skips ahead to it.
+_NAN_RE = re.compile(rb"nan(?<![^\s:+\-<>=^*/\[\]]nan)")
+
+
+def solve_lp_file(path: str, time_limit: float = DEFAULT_TIME_LIMIT) -> RawSolve:
+    """Solve the model file at `path` as HiGHS's own reader reads it.
+
+    HiGHS picks its reader by the file's extension, `.lp` or `.mps`. Raises
+    OSError for a file that cannot be opened and LpFileError for one that
+    is refused. A model HiGHS must not run, with a non-finite cost or
+    matrix coefficient or one it refuses itself, is an `error` outcome,
+    as on the in-process route.
+    """
+    with open(path, "rb") as fh:
+        nan_numeral = _NAN_RE.search(fh.read().lower()) is not None
+    names: list[str] = []
+
+    def load(highs, solver) -> bool:
+        read = solver.readModel(path)
+        lp = solver.getLp()
+        if not lp.num_col_:
+            raise LpFileError(f"HiGHS read no column from {path}")
+        names.extend(lp.col_names_)
+        mip = non_finite = False
+        for j, name in enumerate(names):
+            _, cost, lower, upper, _ = solver.getCol(j)
+            _, kind = solver.getColIntegrality(j)
+            if kind == highs.HighsVarType.kInteger and 0 <= lower and upper <= 1:
+                mip = True
+            elif kind != highs.HighsVarType.kContinuous:
+                raise LpFileError(f"column {name} is {kind.name[1:].lower()} with bounds "
+                                  f"{lower:g}..{upper:g}: only binary and continuous "
+                                  f"columns are solved")
+            non_finite = non_finite or not math.isfinite(cost)
+        if non_finite or nan_numeral:
+            raise ValueError("needs finite objective and row coefficients")
+        if read == highs.HighsStatus.kError:
+            raise ValueError("HiGHS refused the model")
+        return mip
+
+    try:
+        res = run_highs(load, float(time_limit))
+    except ValueError as exc:
+        return _rejected(exc)
+    return _outcome(res, names, 1.0)
 
 
 def render_solution(outcome: RawSolve) -> str:
@@ -267,20 +361,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="chromatic-lps",
         description="Solve a mixed-binary LP file with HiGHS and write a solution file.")
-    parser.add_argument("model", help="input LP file")
+    parser.add_argument("model", help="input LP file (HiGHS reads *.lp and *.mps)")
     parser.add_argument("--out", required=True, help="solution file to write")
     parser.add_argument("--time-limit", type=seconds, default=DEFAULT_TIME_LIMIT, metavar="S")
     args = parser.parse_args(argv)
 
     try:
-        with open(args.model, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        outcome = solve_lp_file(args.model, time_limit=args.time_limit)
     except OSError as exc:
         print(f"chromatic-lps: cannot read model: {exc}", file=sys.stderr)
         return 2
-    try:
-        outcome = solve_lp_text(text, time_limit=args.time_limit)
-    except LpParseError as exc:
+    except LpFileError as exc:
         print(f"chromatic-lps: {exc}", file=sys.stderr)
         return 3
     try:

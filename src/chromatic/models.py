@@ -22,7 +22,7 @@ lays its variables out in a fixed order (vertex-major, then color), so a
 column is plain index arithmetic.
 
 The container itself, `MilpModel` with its `RowBlock`s, its errors and its
-tolerances, lives in `container`, which `lp` and `lpsolve` import without
+tolerances, lives in `container`, which `lp` imports without
 these builders. Here each constraint family is built with numpy over
 edges x colors into one `RowBlock` (and, for `rep`, one per vertex, to keep
 the textbook row order).

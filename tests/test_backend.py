@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 import chromatic
-from chromatic import backend, families, lpsolve
+from chromatic import backend, families, lp, lpsolve
 from chromatic.backend import (DIALECTS, BuiltinAdapter, CommandAdapter,
                                RawSolve, SolutionParseError,
                                SolverNotFoundError, SolveStatus,
                                builtin_subprocess_adapter, integral_floor_bound,
                                load_adapter, parse_solution, solve)
 from chromatic.graph import Graph, gnp_random
-from chromatic.lp import emit_lp
+from chromatic.lp import emit_lp, parse_lp
 from chromatic.models import (FORMULATIONS, apply_clique_fixings,
                               build_formulation, build_pop, extract_coloring)
 from chromatic.oracle import chromatic_number_exact
@@ -221,7 +221,8 @@ class TestInProcessRoute:
             if fixed:
                 model = apply_clique_fixings(model, inst)
             from_text = _milp_arrays(
-                monkeypatch, lambda: lpsolve.solve_lp_text(emit_lp(model), time_limit=30))
+                monkeypatch,
+                lambda: lpsolve.solve_parsed(parse_lp(emit_lp(model)), time_limit=30))
             in_process = _milp_arrays(monkeypatch, lambda: solve(model, time_limit=30))
             for key, expected in from_text.items():
                 got = in_process[key]
@@ -238,7 +239,8 @@ class TestInProcessRoute:
             raise AssertionError("LP text used on the in-process route")
 
         monkeypatch.setattr(backend, "emit_lp", no_text)
-        monkeypatch.setattr(lpsolve, "parse_lp", no_text)
+        monkeypatch.setattr(lpsolve, "solve_lp_file", no_text)
+        monkeypatch.setattr(lp, "parse_lp", no_text)
         monkeypatch.setattr(backend.tempfile, "TemporaryDirectory", no_text)
         result = solve(model, time_limit=30)
         assert result.status is SolveStatus.OPTIMAL

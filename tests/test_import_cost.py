@@ -1,13 +1,13 @@
 """No chromatic process imports scipy.optimize or scipy.sparse; the HiGHS
 binding loads only where HiGHS runs in-process; the `builtin-sub` child
-loads four modules of the package and no process pool. Each case runs in a
-fresh interpreter."""
+loads two modules of the package, no numpy and no process pool. Each case
+runs in a fresh interpreter."""
 from chromatic.lpsolve import HIGHS_MODULE
 from conftest import fresh
 
 # which of the scipy packages are in sys.modules, as an expression
 PACKAGES = "[m for m in ('scipy', 'scipy.optimize', 'scipy.sparse') if m in sys.modules]"
-CHILD_MODULES = ["chromatic", "chromatic.container", "chromatic.lp", "chromatic.lpsolve"]
+CHILD_MODULES = ["chromatic", "chromatic.lpsolve"]
 
 
 def solve_in_child(tmp_path, report: str):
@@ -62,11 +62,11 @@ def test_chromatic_lps_child_imports_no_scipy_package(tmp_path):
     assert solve_in_child(tmp_path, PACKAGES) == []
 
 
-def test_chromatic_lps_child_loads_only_the_lp_reader_container_and_driver(tmp_path):
-    package, pool = solve_in_child(
+def test_chromatic_lps_child_loads_only_the_driver_and_no_numpy(tmp_path):
+    package, pool, numpy = solve_in_child(
         tmp_path, "[sorted(m for m in sys.modules if m.split('.')[0] == 'chromatic'), "
-                  "'concurrent.futures' in sys.modules]")
-    assert (package, pool) == (CHILD_MODULES, False)
+                  "'concurrent.futures' in sys.modules, 'numpy' in sys.modules]")
+    assert (package, pool, numpy) == (CHILD_MODULES, False, False)
 
 
 def test_scipy_milp_still_works_after_the_binding_loads():
@@ -84,9 +84,10 @@ def test_scipy_milp_still_works_after_the_binding_loads():
 def test_binding_is_scipys_own_when_scipy_optimize_came_first():
     status, same = fresh(
         "import scipy.optimize\n"
-        "from chromatic import lpsolve\n"
-        "outcome = lpsolve.solve_lp_text('Minimize\\n obj: x\\nSubject To\\n c: x >= 1\\n'\n"
-        "                                'Binaries\\n x\\nEnd\\n', time_limit=10)\n"
+        "from chromatic import lp, lpsolve\n"
+        "outcome = lpsolve.solve_parsed(lp.parse_lp('Minimize\\n obj: x\\nSubject To\\n'\n"
+        "                                           ' c: x >= 1\\nBinaries\\n x\\nEnd\\n'),\n"
+        "                               time_limit=10)\n"
         "print(json.dumps([outcome.status.value,\n"
         "                  lpsolve.load_highs() is scipy.optimize._highspy._core]))")
     assert (status, same) == ("optimal", True)
