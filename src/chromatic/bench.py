@@ -1,14 +1,20 @@
 """Benchmark harness: per-instance runs, random instance sets, CSV tables.
 
 A run of one instance preprocesses once, then answers each requested
-formulation. When the clique meets the upper bound H the instance is settled
-in preprocessing and no MILP is solved: every formulation gets lb = ub = H,
-status `optimal`, the preprocessing time as its `time`, and the preprocessing
-coloring. Otherwise the formulation is built, given the clique fixings and
-solved, and its coloring is extracted. Either coloring is lifted back through
-the dominance stack and verified against the original graph; a failure there
-becomes an error row like any other. If preprocessing raises, every
-formulation gets that error row.
+formulation. When the clique Q meets the upper bound H the instance is
+settled in preprocessing and no MILP is solved: every formulation gets
+lb = ub = H, status `optimal` and the preprocessing time as its `time`.
+Otherwise the formulation is built one color below H, given the clique
+fixings and solved, and its coloring is extracted; `keep_preprocessing_bounds`
+then reads the solve with what preprocessing proved. `infeasible` proves
+chi = H, so the row is `optimal` at H; any other outcome but an error gets
+lb = max(solver lb, |Q|) and ub = min(solver ub, H), and is `optimal` once
+they meet. A row without a solver coloring, an error row aside, keeps the
+preprocessing coloring (H colors); `coloring_source` records which one it
+has. Either coloring is lifted back through the dominance stack and
+verified against the original graph; a failure there becomes an error row
+like any other. If preprocessing raises, every formulation gets that error
+row.
 
 CSV rows follow the benchmark-table convention: instance, sizes, optional
 hardness class (carried from a manifest, never computed), formulation,
@@ -18,9 +24,10 @@ matrix and HiGHS for `builtin`, plus the LP file, the solver process and
 its solution file for subprocess adapters. Preprocessing time is its own
 column, and also the `time` of a settled row. A model run that raises, or
 an instance file that cannot be read, becomes a row with status
-`error:<ExceptionType>`; the record keeps `Type: message` in `error`, which
-is not a CSV column. Summary rows (per density and formulation: mean time
-over solved instances, number of unsolved) go to a separate `.summary.csv`.
+`error:<ExceptionType>`; the record keeps `Type: message` in `error`, which,
+like `coloring_source`, is not a CSV column. Summary rows (per density and
+formulation: mean time over solved instances, number of unsolved) go to a
+separate `.summary.csv`.
 """
 from __future__ import annotations
 
@@ -28,7 +35,7 @@ import csv
 import io
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .backend import SolveResult, SolveStatus, load_adapter, solve
@@ -60,6 +67,7 @@ class BenchmarkRecord:
     prep_time: float
     hardness_class: str = ""
     error: str = ""  # "Type: message" of a failed run; not a CSV column
+    coloring_source: str = ""  # "solver", "preprocessing" or "" (no coloring); not a CSV column
 
     def row(self) -> dict[str, str]:
         return {
@@ -98,7 +106,8 @@ class InstanceOutcome:
 
 
 def _record(name: str, n: int, m: int, model_name: str, cfg: RunConfig, prep_time: float,
-            hardness_class: str, result: SolveResult | Exception) -> BenchmarkRecord:
+            hardness_class: str, result: SolveResult | Exception,
+            coloring_source: str = "") -> BenchmarkRecord:
     """One formulation's row: the bounds, time and status of its result, or
     the exception that ended its run as status `error:<Type>` with no bounds."""
     if isinstance(result, Exception):
@@ -110,7 +119,28 @@ def _record(name: str, n: int, m: int, model_name: str, cfg: RunConfig, prep_tim
                       status=result.status.value)
     return BenchmarkRecord(instance=name, n=n, m=m, model=model_name,
                            clique_mode=cfg.clique_mode, seed=cfg.seed, prep_time=prep_time,
-                           hardness_class=hardness_class, **answer)
+                           hardness_class=hardness_class, coloring_source=coloring_source,
+                           **answer)
+
+
+def keep_preprocessing_bounds(result: SolveResult, inst: PreprocessedInstance) -> SolveResult:
+    """A solve of the model one color below H, read with what preprocessing
+    proved: the clique Q and TabuCol's H-coloring.
+
+    `infeasible` proves chi = H, so lb = ub = H and the status is `optimal`.
+    Any other outcome but `error` gets lb = max(solver lb, |Q|) and
+    ub = min(solver ub, H), and is `optimal` once they meet; otherwise it
+    keeps the solver's status. An `error` result is returned as it is.
+    """
+    if result.status is SolveStatus.ERROR:
+        return result
+    H = inst.upper_bound
+    if result.status is SolveStatus.INFEASIBLE:
+        return replace(result, status=SolveStatus.OPTIMAL, lower_bound=H, upper_bound=H)
+    lower = max(inst.lower_bound, result.lower_bound or 0)
+    upper = H if result.upper_bound is None else min(result.upper_bound, H)
+    return replace(result, lower_bound=lower, upper_bound=upper,
+                   status=SolveStatus.OPTIMAL if lower == upper else result.status)
 
 
 def solve_instance(g: Graph, name: str, cfg: RunConfig,
@@ -129,13 +159,14 @@ def solve_instance(g: Graph, name: str, cfg: RunConfig,
     outcome = InstanceOutcome(records=[], preprocessed=inst, prep_time=prep_time)
 
     for model_name in cfg.models:
+        source = ""
         try:
             if failure is not None:
                 raise failure
             if inst.solved_in_preprocessing:
                 result = SolveResult(SolveStatus.OPTIMAL, inst.upper_bound, inst.upper_bound,
                                      values=None, wall_time=prep_time)
-                reduced_coloring = inst.greedy_coloring
+                reduced_coloring = None
             else:
                 model = apply_clique_fixings(build_formulation(model_name, inst), inst)
                 workdir = (lp_dir / f"{name}.{model_name}") if lp_dir else None
@@ -143,6 +174,11 @@ def solve_instance(g: Graph, name: str, cfg: RunConfig,
                                seed=cfg.seed, workdir=workdir)
                 reduced_coloring = (None if result.values is None
                                     else extract_coloring(model, result.values))
+            result = keep_preprocessing_bounds(result, inst)
+            if reduced_coloring is not None:
+                source = "solver"
+            elif result.status is not SolveStatus.ERROR:
+                reduced_coloring, source = inst.greedy_coloring, "preprocessing"
             if reduced_coloring is not None:
                 restored = restore_coloring(inst.reduced, reduced_coloring)
                 report = verify_coloring(g, restored)
@@ -150,9 +186,9 @@ def solve_instance(g: Graph, name: str, cfg: RunConfig,
                     raise ColoringError(f"coloring violates edges {report.violating_edges[:3]}")
                 outcome.colorings[model_name] = restored
         except Exception as exc:  # noqa: BLE001 - a failed model run becomes an error row
-            result = exc
+            result, source = exc, ""
         outcome.records.append(_record(name, g.n, g.m, model_name, cfg, prep_time,
-                                       hardness_class, result))
+                                       hardness_class, result, source))
     return outcome
 
 

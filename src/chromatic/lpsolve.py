@@ -167,17 +167,28 @@ def run_highs(load: Callable[[object, object], bool], time_limit: float) -> High
         mip_gap=info.mip_gap if mip and incumbent else None)
 
 
+# HiGHS's infinite cost, the default of its `infinite_cost` option: its LP
+# reader stores a cost of this magnitude or more as inf, so both routes
+# refuse such a cost.
+INFINITE_COST = 1e20
+_COEFFICIENT_RULE = (f"needs finite row coefficients and costs below {INFINITE_COST:g} "
+                     "in magnitude")
+
+
 def milp(*, c, indptr, indices, data, row_lower, row_upper, col_lower, col_upper,
          num_binary, time_limit) -> HighsResult:
     """Minimize c @ x subject to row_lower <= A @ x <= row_upper and the column
     bounds, with HiGHS. A is the CSC matrix (indptr, indices, data); the first
     `num_binary` columns are integer. Raises ValueError for a model HiGHS must
-    not be given or refuses to load.
+    not be given (no column, a non-finite coefficient, a cost of at least
+    `INFINITE_COST` in magnitude) or refuses to load.
     """
     import numpy as np
 
-    if not c.size or not (np.isfinite(c).all() and np.isfinite(data).all()):
-        raise ValueError("needs at least one column, and finite objective and row coefficients")
+    if not c.size:
+        raise ValueError("needs at least one column")
+    if not ((np.abs(c) < INFINITE_COST).all() and np.isfinite(data).all()):
+        raise ValueError(_COEFFICIENT_RULE)
 
     def load(highs, solver) -> bool:
         lp = highs.HighsLp()
@@ -307,9 +318,10 @@ def solve_lp_file(path: str, time_limit: float = DEFAULT_TIME_LIMIT) -> RawSolve
 
     HiGHS picks its reader by the file's extension, `.lp` or `.mps`. Raises
     OSError for a file that cannot be opened and LpFileError for one that
-    is refused. A model HiGHS must not run, with a non-finite cost or
-    matrix coefficient or one it refuses itself, is an `error` outcome,
-    as on the in-process route.
+    is refused. A model HiGHS must not run, with a cost the reader stored as
+    inf (any of at least `INFINITE_COST` in magnitude), a non-finite matrix
+    coefficient or one it refuses itself, is an `error` outcome, as on the
+    in-process route.
     """
     with open(path, "rb") as fh:
         nan_numeral = _NAN_RE.search(fh.read().lower()) is not None
@@ -331,9 +343,9 @@ def solve_lp_file(path: str, time_limit: float = DEFAULT_TIME_LIMIT) -> RawSolve
                 raise LpFileError(f"column {name} is {kind.name[1:].lower()} with bounds "
                                   f"{lower:g}..{upper:g}: only binary and continuous "
                                   f"columns are solved")
-            non_finite = non_finite or not math.isfinite(cost)
+            non_finite = non_finite or not abs(cost) < INFINITE_COST
         if non_finite or nan_numeral:
-            raise ValueError("needs finite objective and row coefficients")
+            raise ValueError(_COEFFICIENT_RULE)
         if read == highs.HighsStatus.kError:
             raise ValueError("HiGHS refused the model")
         return mip

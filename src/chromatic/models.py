@@ -16,6 +16,11 @@ return immutable, solver-agnostic models:
          order, the clique members first (ascending), then the rest by id;
          each color class is represented by its first member in that order
 
+`build_formulation` builds them for a preprocessed instance one color
+below its bound H, since preprocessing already holds an H-coloring: the
+color-indexed models get H - 1 colors, and `rep` one more row, `colors`,
+sum_v r_v_v <= H - 1. An infeasible model then proves chi = H.
+
 Variable names (x_v_i, w_i, y_i_v, r_u_v; vertices 0-based, colors
 1-based) are fixed so emitted LP files diff deterministically. Each builder
 lays its variables out in a fixed order (vertex-major, then color), so a
@@ -365,22 +370,39 @@ def build_rep(g: Graph, first=()) -> MilpModel:
 # instance-level dispatch and clique fixings
 
 def build_formulation(kind: str, inst: PreprocessedInstance) -> MilpModel:
-    """Build one formulation for a preprocessed instance (no fixings yet)."""
+    """Build one formulation for a preprocessed instance (no fixings yet),
+    one color below the preprocessing bound H.
+
+    Preprocessing already holds an H-coloring, so the model only has to find
+    an (H - 1)-coloring or prove that none exists: `ass-s`, `ass`, `pop` and
+    `pop2` get H - 1 colors, and `rep` gets one more row, `colors`:
+    sum_v r_v_v <= H - 1. This is the one place the color bound is set, and
+    `meta["upper_bound"]` records it (H - 1) for every kind. A settled
+    instance (clique of H vertices) has no such coloring, so it raises
+    ModelError.
+    """
+    if inst.solved_in_preprocessing:
+        raise ModelError(f"instance is settled in preprocessing (clique of H = "
+                         f"{inst.upper_bound} vertices): it has no {inst.upper_bound - 1}-coloring")
     g = inst.reduced.graph
-    H = inst.upper_bound
+    colors = inst.upper_bound - 1
     if kind == "ass-s":
-        model = build_ass_s(g, H)
+        model = build_ass_s(g, colors)
     elif kind == "ass":
-        model = build_ass(g, H)
+        model = build_ass(g, colors)
     elif kind == "pop":
-        model = build_pop(g, H, inst.anchor)
+        model = build_pop(g, colors, inst.anchor)
     elif kind == "pop2":
-        model = build_pop2(g, H, inst.anchor)
+        model = build_pop2(g, colors, inst.anchor)
     elif kind == "rep":
         model = build_rep(g, first=inst.clique)
+        row = _block("colors", np.zeros((1, 1)),
+                     [([(0, v, 1.0) for v in range(g.n)], -INF, float(colors), "")], "colors")
+        model = replace(model, blocks=model.blocks + (row,))
     else:
         raise ModelError(f"unknown formulation {kind!r}")
     meta = dict(model.meta)
+    meta["upper_bound"] = colors
     meta["anchor"] = inst.anchor
     meta["clique"] = tuple(inst.clique)
     return replace(model, meta=meta)
@@ -402,7 +424,8 @@ def apply_clique_fixings(m: MilpModel, inst: PreprocessedInstance) -> MilpModel:
     precolored k forbids color k on v: a variable fixing where the model has
     that variable, the substituted equality y_{k-1}_v = y_k_v (a `boundary`
     block) in the pure partial-ordering model. A fixing is the bound (v, v)
-    in `bounds`. Both families need |Q| <= H, else ModelError.
+    in `bounds`. Both families need |Q| <= H, the model's color bound (H - 1
+    of the instance, from `build_formulation`), else ModelError.
     """
     g = m.graph
     clique = tuple(inst.clique)

@@ -1,9 +1,9 @@
-"""Shared Hypothesis profile, fixtures directory, row readers, NullAdapter double
-and fresh-interpreter runner."""
+"""Shared Hypothesis profile, fixtures directory, row readers, the model with H
+colors, NullAdapter double and fresh-interpreter runner."""
 import json
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,8 @@ from chromatic import bench
 from chromatic.backend import RawSolve, SolveStatus
 from chromatic.container import row_sense
 from chromatic.graph import Coloring
-from chromatic.models import MilpModel, ModelError, check_feasible, encode_coloring, objective_value
+from chromatic.models import (MilpModel, ModelError, build_formulation, check_feasible,
+                              encode_coloring, objective_value)
 from chromatic.oracle import chromatic_number_exact
 
 settings.register_profile(
@@ -70,6 +71,15 @@ def row(m: MilpModel, name: str):
 
 def family_rows(m: MilpModel, family: str) -> int:
     return sum(len(b) for b in m.blocks if b.family == family)
+
+
+def build_with_h_colors(kind: str, inst) -> MilpModel:
+    """What `build_formulation` builds for `inst` if preprocessing's bound
+    were one color higher: the four color-indexed models with H colors, and
+    `rep` with at most H representatives. Its optimum is chi, also on a
+    settled instance, so tests of a formulation itself solve this model.
+    The program builds one color lower (H - 1)."""
+    return build_formulation(kind, replace(inst, upper_bound=inst.upper_bound + 1))
 
 
 @dataclass(frozen=True)

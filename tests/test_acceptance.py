@@ -17,14 +17,14 @@ from chromatic.bench import RunConfig, generate_set, records_csv, run_bench
 from chromatic.graph import Graph, gnp_random, parse_dimacs, verify_coloring, write_dimacs
 from chromatic.lp import emit_lp
 from chromatic.models import (FORMULATIONS, apply_clique_fixings, build_ass,
-                              build_ass_s, build_formulation, build_pop,
+                              build_ass_s, build_pop,
                               build_pop2, build_rep, check_feasible,
                               extract_coloring, objective_value,
                               wv, xv, yv)
 from chromatic.oracle import chromatic_number_exact
 from chromatic.preprocess import (greedy_upper_bound, preprocess_pipeline,
                                   restore_coloring)
-from conftest import family_rows
+from conftest import build_with_h_colors, family_rows
 
 
 def _passed(line: str):
@@ -34,7 +34,7 @@ def _passed(line: str):
 def solve_through_pipeline(g: Graph, kind: str, seed: int, time_limit: float = 60.0,
                            fixings: bool = True):
     inst = preprocess_pipeline(g, mode="e", seed=seed, clique_time_budget=1.0)
-    model = build_formulation(kind, inst)
+    model = build_with_h_colors(kind, inst)
     if fixings:
         model = apply_clique_fixings(model, inst)
     result = solve(model, time_limit=time_limit, seed=seed)
@@ -53,7 +53,7 @@ def test_criterion_1_formulations_match_oracle_on_random_corpus():
             assert chi == inst.upper_bound == 1
             continue
         for kind in FORMULATIONS:
-            model = apply_clique_fixings(build_formulation(kind, inst), inst)
+            model = apply_clique_fixings(build_with_h_colors(kind, inst), inst)
             result = solve(model, time_limit=60, seed=seed)
             assert result.status is SolveStatus.OPTIMAL, (kind, p, seed, result)
             assert result.upper_bound == chi, (kind, p, seed, result.upper_bound, chi)
@@ -198,7 +198,7 @@ def test_criterion_5_preprocessing_soundness():
             assert chi == 1
             continue
         for kind in FORMULATIONS:
-            bare = build_formulation(kind, inst)
+            bare = build_with_h_colors(kind, inst)
             fixed = apply_clique_fixings(bare, inst)
             got_bare = solve(bare, time_limit=60, seed=seed)
             got_fixed = solve(fixed, time_limit=60, seed=seed)
@@ -294,7 +294,7 @@ def test_criterion_8_determinism(tmp_path):
 
     g = gnp_random(10, 0.5, 4)
     inst = preprocess_pipeline(g, mode="e", seed=4, clique_time_budget=1.0)
-    model = apply_clique_fixings(build_formulation("pop2", inst), inst)
+    model = apply_clique_fixings(build_with_h_colors("pop2", inst), inst)
     solve(model, time_limit=30, workdir=tmp_path / "lp1")
     solve(model, time_limit=30, workdir=tmp_path / "lp2")
     lp1 = (tmp_path / "lp1" / "model.lp").read_bytes()

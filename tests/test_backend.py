@@ -24,7 +24,7 @@ from chromatic.models import (FORMULATIONS, apply_clique_fixings,
                               build_formulation, build_pop, extract_coloring)
 from chromatic.oracle import chromatic_number_exact
 from chromatic.preprocess import preprocess_pipeline
-from conftest import NullAdapter
+from conftest import NullAdapter, build_with_h_colors
 
 
 class TestParseSolutionDialects:
@@ -136,7 +136,7 @@ class TestNormalization:
     def test_lp_file_written_deterministically(self, tmp_path):
         g = gnp_random(8, 0.5, 5)
         inst = preprocess_pipeline(g, seed=5, clique_time_budget=0.5)
-        model = apply_clique_fixings(build_formulation("pop2", inst), inst)
+        model = apply_clique_fixings(build_with_h_colors("pop2", inst), inst)
         solve(model, time_limit=30, workdir=tmp_path / "a")
         solve(model, time_limit=30, workdir=tmp_path / "b")
         assert (tmp_path / "a" / "model.lp").read_bytes() == \
@@ -217,7 +217,7 @@ class TestInProcessRoute:
     def test_same_arrays_as_lp_text_route(self, monkeypatch, kind, fixed):
         for g in ROUTE_GRAPHS:
             inst = preprocess_pipeline(g, seed=1, clique_time_budget=5)
-            model = build_formulation(kind, inst)
+            model = build_with_h_colors(kind, inst)
             if fixed:
                 model = apply_clique_fixings(model, inst)
             from_text = _milp_arrays(
@@ -232,7 +232,7 @@ class TestInProcessRoute:
     def test_no_lp_text_without_workdir(self, monkeypatch, tmp_path):
         g = gnp_random(10, 0.5, seed=3)
         inst = preprocess_pipeline(g, seed=3, clique_time_budget=5)
-        model = apply_clique_fixings(build_formulation("pop2", inst), inst)
+        model = apply_clique_fixings(build_with_h_colors("pop2", inst), inst)
         expected_lp = emit_lp(model).encode()
 
         def no_text(*args, **kwargs):
@@ -258,8 +258,14 @@ GOLDEN_GRAPHS = ROUTE_GRAPHS + [gnp_random(48, 0.9, seed=1)]  # reduces to 47 ve
 
 
 @functools.lru_cache(maxsize=None)
-def _golden_instance(position: int):
-    return preprocess_pipeline(GOLDEN_GRAPHS[position], seed=1, clique_time_budget=60)
+def _golden_model(kind: str, fixed: bool, position: int):
+    """The model the program builds for the golden graph, H - 1 colors; for
+    a graph that settles in preprocessing, which gets none, the one with H
+    colors."""
+    inst = preprocess_pipeline(GOLDEN_GRAPHS[position], seed=1, clique_time_budget=60)
+    model = (build_with_h_colors(kind, inst) if inst.solved_in_preprocessing
+             else build_formulation(kind, inst))
+    return apply_clique_fixings(model, inst) if fixed else model
 
 
 def _digest_arrays(arrays: dict) -> str:
@@ -297,29 +303,29 @@ def _scipy_milp_layout(arrays: dict) -> dict:
             "row_lo": arrays["row_lower"], "row_hi": arrays["row_upper"]}
 
 
-# SHA-256 of the emitted LP bytes and of the HiGHS arrays, each over all of
-# GOLDEN_GRAPHS in order, per (formulation, clique fixings).
+# SHA-256 of the emitted LP bytes and of the HiGHS arrays of `_golden_model`,
+# each over all of GOLDEN_GRAPHS in order, per (formulation, clique fixings).
 GOLDEN_MODEL_DIGESTS = {
-    ('ass-s', False): ("1bcebd59dc0844efaec3a979fa168dd557fb69487c31f4f591841f848f81b34a",
-                     "fb9b63a6ab5d34a49f036888ba4ea2d9e2da451b12be2e3559ecda68e64ad615"),
-    ('ass-s', True): ("57a09f5200c1f74386df2ecff418a4ae427ada552d7f24ea22c50f25bbd5eff2",
-                    "b91e03bff313d2df2fa8631d6fb23116a1907048e483f1639611e6f321537fab"),
-    ('ass', False): ("91b0a52ee19739105460c6527a2348955326cd64c709078d20f21fffeb302400",
-                   "8ec92b74c9cfc103aed441b30ce686565a45d6b03f9662666521e277889904a4"),
-    ('ass', True): ("ccfe591f58829056c7c08dcf4e4b4aed1c3ba45e3990cc821770a08d1b4f0b0c",
-                  "770bdd32b9cce667283efaaca09ae9cc87a26ee69a395fba5845e56ea518044e"),
-    ('pop', False): ("776232bbd5fbc79d6ac9ea5f4b584a9df303b0edcf5aca6544342943cfff846f",
-                   "31fea088f486312c67f4054a84506220600e2b5d9b37332c98b0fcbfe6807758"),
-    ('pop', True): ("df68265924ebb949ddbde2114a9ef964ee17000f216910e66f89bd7462167b82",
-                  "e6500f853d0885bb67e32f1dc30577bed8cd8922bb5b8f1a95bc39235fa40133"),
-    ('pop2', False): ("b9babcad30e04b42d222301e07411a0a90ffbd690119a9ef69188c63849c642a",
-                    "ab228e4f548fbbed22490729fb90bc39211ee8c57600afe3c019c6952f9bd751"),
-    ('pop2', True): ("dad64d5cd363c94183d27868010fd0dea12a83a7e6928bc56b91358fab3839c2",
-                   "476e5ee07b171b72f94530a003c033a05a2903251d3ff15b5f4c25c2146edf74"),
-    ('rep', False): ("f3326c33038e12c2c6d79bdc86cfb04ef95f297cf4c47302fdfa80cc142374dc",
-                   "7edeb95c23bb2704e7486af246f7ce7cba3abc28aecce38276e9ee130ccfbe65"),
-    ('rep', True): ("a71e1fc374943ac9236bc4673785ab34fc78d49242586aedeaf52d34dfa1b3cc",
-                  "3fb3dbd031d97dd0826fe2c7d0fc5e5f585aab0011858350f63537a7570519b6"),
+    ('ass-s', False): ("afe69461dad7be8cb74f3b9ce53ab09d720ff6422c9e01b54f654a1b5cfea034",
+                       "211dfd16fcf10b81a9e7eab556c84e634f67f5f0c91beb938b5e9923e5b5f0c5"),
+    ('ass-s', True): ("1b246d7cc380eab6ddccfc781045e54d4f62f29b81fd16d310f4000ba8509e91",
+                      "5f7136fd1dce8af009a3b79d987c95bda6136c3faa76127a79152a0e345a9161"),
+    ('ass', False): ("af2b4e3cdd687874676221f592dda63a83514cc819c9c4763d80aa62f83ce569",
+                     "1ffc0fd287197dc435bc96f95ff1e2625280ad974f387ca0ef4b47108974f7f4"),
+    ('ass', True): ("064a4d7d53642a65ae0fd90f6ce80d20cd01e89cf9872e21bd33f475fb49efd0",
+                    "26dccd0ad8bffc6a3db46654b55a49b1bb0dfc37935b15baf07beb295b2f758f"),
+    ('pop', False): ("893a8dda2564106e2fea3d9ecc13c00c121919de09a2c9adb4bd6a19d511877f",
+                     "8910d52d782477dd849eedc1f953540e3eae6102cc530a13bba31a84d61f8704"),
+    ('pop', True): ("d7ea8809236f46892b4023e225a0e112504f86ce9abdf5a1b8a82987af6d90b3",
+                    "45492bf03d856788139849bbf716f41d2dac35778e41fb7c5a8f1d3443b98b4c"),
+    ('pop2', False): ("1580ab59d5728555a26548597899800bd1005f7a686f79a6118340bd4cb3c73e",
+                      "0b3e58c2861f62211f6d5611f8c5a42d7f361f75d2197716e3c7ba655fafb0a1"),
+    ('pop2', True): ("f3aaae31881d15fd39fa34c994fd2d9987540b2017898d5ecc2aa3848973c417",
+                     "1dde2aa61c6d8e3fdf77ee2acefad9ebcb2b68ffcef385b924677e173b87d3dc"),
+    ('rep', False): ("56b1272a42c146a7ab74ca2be6904f1fb0066110f60367882eb685cc6a8798c2",
+                     "487aa636e49dcd1b658d9ad67568b0650ca8b01508183935aa532a678889cc5e"),
+    ('rep', True): ("3087dd25ac84b35fbfabeb832b5f4218871799c2ae7df37941950e4bdd2efb50",
+                    "755dee2cff6d2a23d4eb875395956606c68b98538c5219400cb9b1f15cb26c3f"),
 }
 
 
@@ -331,10 +337,7 @@ class TestGoldenModelBytes:
     def test_lp_text_and_highs_arrays(self, monkeypatch, kind, fixed):
         lp_hash, arrays_hash = hashlib.sha256(), hashlib.sha256()
         for position in range(len(GOLDEN_GRAPHS)):
-            inst = _golden_instance(position)
-            model = build_formulation(kind, inst)
-            if fixed:
-                model = apply_clique_fixings(model, inst)
+            model = _golden_model(kind, fixed, position)
             lp_hash.update(emit_lp(model).encode())
             arrays = _scipy_milp_layout(_captured_milp_arrays(monkeypatch, model))
             arrays_hash.update(_digest_arrays(arrays).encode())
@@ -346,10 +349,7 @@ class TestGoldenModelBytes:
     def test_matrix_is_scipys_csc(self, monkeypatch, kind, fixed):
         # HiGHS gets the CSC arrays scipy derived from the stacked row blocks
         for position in range(len(GOLDEN_GRAPHS)):
-            inst = _golden_instance(position)
-            model = build_formulation(kind, inst)
-            if fixed:
-                model = apply_clique_fixings(model, inst)
+            model = _golden_model(kind, fixed, position)
             got = _captured_milp_arrays(monkeypatch, model)
             widths = np.concatenate([np.diff(block.indptr) for block in model.blocks])
             rows = np.repeat(np.arange(len(widths)), widths)
@@ -367,7 +367,7 @@ class TestSubprocessAdapter:
     def test_bundled_solver_through_subprocess(self):
         g = families.cycle(5)
         inst = preprocess_pipeline(g, seed=1, clique_time_budget=0.5)
-        model = apply_clique_fixings(build_formulation("ass", inst), inst)
+        model = apply_clique_fixings(build_with_h_colors("ass", inst), inst)
         result = solve(model, adapter=builtin_subprocess_adapter(), time_limit=60)
         assert result.status is SolveStatus.OPTIMAL
         assert result.upper_bound == 3
@@ -387,7 +387,7 @@ class TestSubprocessAdapter:
         monkeypatch.setenv("PYTHONPATH", package_root.name)
         g = families.cycle(5)
         inst = preprocess_pipeline(g, seed=1, clique_time_budget=0.5)
-        model = apply_clique_fixings(build_formulation("ass", inst), inst)
+        model = apply_clique_fixings(build_with_h_colors("ass", inst), inst)
         result = solve(model, adapter=builtin_subprocess_adapter(), time_limit=60)
         assert result.status is SolveStatus.OPTIMAL, result.log
         assert result.upper_bound == 3, result.log
@@ -442,7 +442,7 @@ class TestSubprocessAdapter:
             model = build_pop(families.complete(3), 2, anchor=0)
         else:
             inst = preprocess_pipeline(families.cycle(5), seed=1, clique_time_budget=0.5)
-            model = apply_clique_fixings(build_formulation("ass", inst), inst)
+            model = apply_clique_fixings(build_with_h_colors("ass", inst), inst)
         results = [solve(model, adapter=adapter, time_limit=60)
                    for adapter in (BuiltinAdapter(), builtin_subprocess_adapter())]
         answers = {(r.status, r.lower_bound, r.upper_bound) for r in results}
@@ -561,7 +561,7 @@ class TestNullAdapter:
             inst = preprocess_pipeline(g, seed=seed, clique_time_budget=0.5)
             if inst.upper_bound < 2 and kind in ("pop", "pop2"):
                 continue
-            model = apply_clique_fixings(build_formulation(kind, inst), inst)
+            model = apply_clique_fixings(build_with_h_colors(kind, inst), inst)
             result = solve(model, adapter=NullAdapter(), time_limit=5)
             assert result.status is SolveStatus.OPTIMAL
             assert result.lower_bound == result.upper_bound == chi
@@ -575,7 +575,7 @@ class TestNullAdapter:
 
     def test_cap(self):
         g = gnp_random(20, 0.5, 1)
-        model = build_formulation("rep", preprocess_pipeline(g, clique_time_budget=0.5))
+        model = build_with_h_colors("rep", preprocess_pipeline(g, clique_time_budget=0.5))
         with pytest.raises(ValueError, match="at most"):
             solve(model, adapter=NullAdapter(cap=16), time_limit=5)
 
@@ -653,7 +653,7 @@ class TestBackendInvariants:
             if inst.upper_bound < 2:
                 continue
             for kind in ("ass", "pop2", "rep"):
-                model = apply_clique_fixings(build_formulation(kind, inst), inst)
+                model = apply_clique_fixings(build_with_h_colors(kind, inst), inst)
                 result = solve(model, time_limit=30)
                 assert result.status is SolveStatus.OPTIMAL
                 assert result.lower_bound == result.upper_bound
@@ -690,7 +690,7 @@ class TestTimeLimitRule:
     @pytest.mark.parametrize("adapter_name", list(ADAPTERS))
     def test_largest_limit_solves(self, adapter_name):
         inst = preprocess_pipeline(families.cycle(5), seed=1, clique_time_budget=0.5)
-        model = apply_clique_fixings(build_formulation("pop2", inst), inst)
+        model = apply_clique_fixings(build_with_h_colors("pop2", inst), inst)
         result = solve(model, adapter=self.ADAPTERS[adapter_name](),
                        time_limit=lpsolve.MAX_TIME_LIMIT)
         assert result.status is SolveStatus.OPTIMAL, result.log

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from chromatic import bench, cli, families
+from chromatic.backend import BuiltinAdapter, RawSolve, SolveStatus
 from chromatic.bench import (BenchmarkRecord, ManifestRow, RunConfig, generate_set,
                              read_manifest, records_csv, run_bench,
                              solve_instance, summarize, summary_csv)
@@ -109,6 +110,75 @@ class TestSolveInstance:
         assert all(r.status.startswith("error") for r in outcome.records)
         assert [r.error for r in outcome.records] == [
             "ValueError: null adapter handles at most 16 vertices, got 17"] * 2
+
+
+class TestPreprocessingBounds:
+    """A row reads its solve, one color below H, with what preprocessing proved."""
+
+    C7 = families.cycle(7)  # clique 2, H = chi = 3: the 2-color models are infeasible
+
+    @staticmethod
+    def run(monkeypatch, report=None, upper_bound=None, models=("pop2", "rep")):
+        """solve_instance on C7. `report(raw)` rewrites what HiGHS reported;
+        `upper_bound` stubs preprocessing's bound (its H-coloring is kept)."""
+        if report is not None:
+            class Stub(BuiltinAdapter):
+                def solve_model(self, *args):
+                    return report(super().solve_model(*args))
+
+            monkeypatch.setattr(bench, "load_adapter", lambda spec: Stub())
+        if upper_bound is not None:
+            real = bench.preprocess_pipeline
+            monkeypatch.setattr(bench, "preprocess_pipeline", lambda g, **kw: replace(
+                real(g, **kw), upper_bound=upper_bound))
+        outcome = solve_instance(TestPreprocessingBounds.C7, "c7",
+                                 RunConfig(models=models, time_limit=30,
+                                           clique_time_budget=0.5))
+        assert not outcome.preprocessed.solved_in_preprocessing
+        return outcome
+
+    def test_infeasible_model_proves_chi_equal_to_h(self, monkeypatch):
+        outcome = self.run(monkeypatch)
+        for record in outcome.records:
+            assert (record.lb, record.ub, record.status) == (3, 3, "optimal")
+            assert record.coloring_source == "preprocessing" and record.time > 0
+            coloring = outcome.colorings[record.model]
+            assert verify_coloring(self.C7, coloring).valid and coloring.num_colors == 3
+
+    def test_solver_optimum_below_h_keeps_the_solvers_coloring(self, monkeypatch):
+        outcome = self.run(monkeypatch, upper_bound=4)
+        for record in outcome.records:
+            assert (record.lb, record.ub, record.status) == (3, 3, "optimal")
+            assert record.coloring_source == "solver"
+            assert outcome.colorings[record.model].num_colors == 3
+
+    def test_timeout_without_values_keeps_clique_and_h(self, monkeypatch):
+        outcome = self.run(monkeypatch, lambda raw: RawSolve(
+            SolveStatus.TIMEOUT_NO_SOLUTION, None, None, None))
+        for record in outcome.records:
+            assert (record.lb, record.ub) == (2, 3)
+            assert record.status == "timeout_no_solution"
+            assert record.coloring_source == "preprocessing"
+            coloring = outcome.colorings[record.model]
+            assert verify_coloring(self.C7, coloring).valid and coloring.num_colors == 3
+
+    def test_timeout_with_an_incumbent_keeps_the_solvers_bound_and_coloring(self, monkeypatch):
+        # with H stubbed to 4 the 3-color models are feasible; the solve
+        # reports its optimum as an incumbent with no dual bound
+        outcome = self.run(monkeypatch, lambda raw: replace(
+            raw, status=SolveStatus.FEASIBLE, bound=None), upper_bound=4)
+        for record in outcome.records:
+            assert (record.lb, record.ub, record.status) == (2, 3, "feasible")
+            assert record.coloring_source == "solver"
+            assert outcome.colorings[record.model].num_colors == 3
+
+    def test_error_rows_stay_unchanged(self, monkeypatch):
+        outcome = self.run(monkeypatch, lambda raw: RawSolve(
+            SolveStatus.ERROR, None, None, None, "stub failure"))
+        for record in outcome.records:
+            assert (record.lb, record.ub, record.status) == (None, None, "error")
+            assert record.coloring_source == "" and record.error == ""
+        assert outcome.colorings == {}
 
 
 class TestGenerate:

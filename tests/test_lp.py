@@ -10,10 +10,10 @@ from chromatic import families
 from chromatic.graph import gnp_random
 from chromatic.lp import LpParseError, emit_lp, parse_lp
 from chromatic.models import (apply_clique_fixings, build_ass, build_ass_s,
-                              build_formulation, build_pop, build_pop2,
+                              build_pop, build_pop2,
                               build_rep, check_feasible, model_stats)
 from chromatic.preprocess import greedy_upper_bound, preprocess_pipeline
-from conftest import row, stacked_rows
+from conftest import build_with_h_colors, row, stacked_rows
 
 
 def random_model(seed: int):
@@ -36,7 +36,7 @@ def random_model(seed: int):
         model = build_rep(g)
     if rng.random() < 0.5:
         inst = preprocess_pipeline(g, seed=seed, clique_time_budget=0.5)
-        model = apply_clique_fixings(build_formulation(model.kind, inst), inst)
+        model = apply_clique_fixings(build_with_h_colors(model.kind, inst), inst)
     return model
 
 
@@ -72,7 +72,7 @@ class TestEmit:
     def test_fixings_become_bounds(self):
         g = families.complete(3)
         inst = preprocess_pipeline(g, seed=0, clique_time_budget=0.5)
-        m = apply_clique_fixings(build_formulation("rep", inst), inst)
+        m = apply_clique_fixings(build_with_h_colors("rep", inst), inst)
         text = emit_lp(m)
         assert "Bounds" in text
         assert " r_0_0 = 1" in text

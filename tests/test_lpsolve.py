@@ -215,6 +215,27 @@ def test_file_with_a_coefficient_highs_cannot_take_is_an_error(tmp_path, objecti
     assert outcome.log.startswith("solver rejected model: ")
 
 
+@pytest.mark.parametrize("cost, status", [
+    ("1e300", SolveStatus.ERROR), ("1e20", SolveStatus.ERROR), ("- 1e20", SolveStatus.ERROR),
+    ("9.99e19", SolveStatus.OPTIMAL),
+], ids=["huge", "infinite-cost", "minus-infinite-cost", "below-infinite-cost"])
+def test_both_routes_refuse_a_cost_highs_takes_for_infinite(tmp_path, cost, status):
+    # HiGHS's reader stores a cost of 1e20 or more as inf; in process the
+    # same cost was once solved as given
+    text = (f"Minimize\n obj: {cost} x + y\nSubject To\n c1: x + y >= 1\n"
+            "Binaries\n x y\nEnd\n")
+    model = tmp_path / "model.lp"
+    model.write_text(text)
+    for outcome in (solve_parsed(parse_lp(text), time_limit=10),
+                    solve_lp_file(str(model), time_limit=10)):
+        assert outcome.status is status
+        if status is SolveStatus.ERROR:
+            assert outcome.log == ("solver rejected model: needs finite row coefficients "
+                                   "and costs below 1e+20 in magnitude")
+        else:
+            assert outcome.objective == 1
+
+
 def mycielski(g: Graph) -> Graph:
     """One Mycielski step: copies u_i of v_i joined to v_i's neighbours, and w to every u_i."""
     n = g.n

@@ -16,7 +16,7 @@ from chromatic.models import (FORMULATIONS, ExtractionError,
 from chromatic.oracle import chromatic_number_exact
 from chromatic.preprocess import (PreprocessedInstance, greedy_upper_bound,
                                   preprocess_pipeline)
-from conftest import family_rows, row
+from conftest import build_with_h_colors, family_rows, row
 
 
 def instance_for(g: Graph, clique, anchor) -> PreprocessedInstance:
@@ -188,7 +188,7 @@ class TestRepBuilder:
         g = gnp_random(12, 0.4, seed)
         inst = preprocess_pipeline(g, seed=seed, clique_time_budget=0.5)
         for m, first in ((build_rep(g, first=(5, 2)), (2, 5)),
-                         (build_formulation("rep", inst), tuple(sorted(inst.clique)))):
+                         (build_with_h_colors("rep", inst), tuple(sorted(inst.clique)))):
             graph = m.graph
             order = m.meta["order"]
             assert order == first + tuple(v for v in range(graph.n) if v not in first)
@@ -296,8 +296,11 @@ class TestCliqueFixings:
         # x_1_4 in ass/ass-s, and H = 2 a fixing conflict in pop
         inst = preprocess_pipeline(gnp_random(12, 0.6, 5), seed=0, clique_time_budget=1)
         assert len(inst.clique) == 4
-        inst = replace(inst, upper_bound=upper)
-        model = build_formulation(kind, inst)
+        g, anchor = inst.reduced.graph, inst.anchor
+        model = {"ass-s": lambda: build_ass_s(g, upper), "ass": lambda: build_ass(g, upper),
+                 "pop": lambda: build_pop(g, upper, anchor),
+                 "pop2": lambda: build_pop2(g, upper, anchor),
+                 "rep": lambda: build_rep(g, first=inst.clique)}[kind]()
         if kind == "rep":  # no color bound to exceed
             assert apply_clique_fixings(model, inst).fixings
             return
@@ -314,9 +317,38 @@ class TestCliqueFixings:
             for kind in FORMULATIONS:
                 if inst.upper_bound < 2 and kind in ("pop", "pop2"):
                     continue
-                bare = build_formulation(kind, inst)
+                bare = build_with_h_colors(kind, inst)
                 fixed = apply_clique_fixings(bare, inst)
                 assert optimum(bare) == optimum(fixed) == chi
+
+
+class TestOneColorBelowH:
+    """`build_formulation` asks for an (H - 1)-coloring of a preprocessed instance."""
+
+    def test_every_model_has_h_minus_one_colors(self):
+        inst = preprocess_pipeline(families.cycle(7), seed=0, clique_time_budget=0.5)
+        assert (len(inst.clique), inst.upper_bound) == (2, 3)
+        models = {kind: build_formulation(kind, inst) for kind in FORMULATIONS}
+        assert {m.meta["upper_bound"] for m in models.values()} == {2}
+        assert len(models["ass-s"].variables) == 2 * (7 + 1)
+        assert len(models["pop"].variables) == (2 - 1) * 7
+        rep = models["rep"]
+        assert rep.blocks[-1].family == "colors" and len(rep.blocks[-1]) == 1
+        assert row(rep, "colors") == (tuple((rv(v, v), 1.0) for v in range(7)), "<=", 2.0)
+        assert optimum(replace(rep, blocks=rep.blocks[:-1])) == 3
+        for m in models.values():
+            result = solve(apply_clique_fixings(m, inst), time_limit=30)
+            assert result.status is SolveStatus.INFEASIBLE, m.kind
+
+    @pytest.mark.parametrize("g", [families.complete(1), families.complete(2),
+                                   families.complete(4), families.cycle(6)],
+                             ids=["K1", "K2", "K4", "C6"])
+    def test_settled_instance_has_no_model(self, g):
+        inst = preprocess_pipeline(g, seed=0, clique_time_budget=0.5)
+        assert inst.solved_in_preprocessing
+        for kind in FORMULATIONS:
+            with pytest.raises(ModelError, match="settled in preprocessing"):
+                build_formulation(kind, inst)
 
 
 class TestExtractColoring:
@@ -443,7 +475,7 @@ class TestFormulationEquivalence:
                 assert chi == 1
                 continue
             for kind in FORMULATIONS:
-                model = apply_clique_fixings(build_formulation(kind, inst), inst)
+                model = apply_clique_fixings(build_with_h_colors(kind, inst), inst)
                 result = solve(model, time_limit=60)
                 assert result.status is SolveStatus.OPTIMAL and result.upper_bound == chi, \
                     (kind, g.n, g.m)
@@ -454,7 +486,7 @@ class TestFormulationEquivalence:
     def test_assignment_model_on_mid_size_benchmark_family(self):
         g = families.full_insertion(3, 3)  # 80 vertices, 346 edges, chi = 6
         inst = preprocess_pipeline(g, seed=0, clique_time_budget=1)
-        model = apply_clique_fixings(build_formulation("ass", inst), inst)
+        model = apply_clique_fixings(build_with_h_colors("ass", inst), inst)
         result = solve(model, time_limit=120)
         assert result.status is SolveStatus.OPTIMAL and result.upper_bound == 6
 
@@ -498,7 +530,7 @@ class TestModelStats:
         upper = inst.upper_bound
         if upper < 2:
             pytest.skip("degenerate instance")
-        m = build_formulation("pop", inst)
+        m = build_with_h_colors("pop", inst)
         assert model_stats(m).num_vars == (upper - 1) * inst.reduced.graph.n
         fixed = apply_clique_fixings(m, inst)
         assert model_stats(fixed).num_vars == \
