@@ -73,13 +73,20 @@ def family_rows(m: MilpModel, family: str) -> int:
     return sum(len(b) for b in m.blocks if b.family == family)
 
 
+def one_color_worse(inst):
+    """A stub of `inst` whose bound is one color worse, H + 1. It keeps its
+    H-coloring, so a run that wrongly proves chi = H + 1 reports a coloring
+    with fewer colors than that."""
+    return replace(inst, upper_bound=inst.upper_bound + 1)
+
+
 def build_with_h_colors(kind: str, inst) -> MilpModel:
-    """What `build_formulation` builds for `inst` if preprocessing's bound
-    were one color higher: the four color-indexed models with H colors, and
-    `rep` with at most H representatives. Its optimum is chi, also on a
-    settled instance, so tests of a formulation itself solve this model.
-    The program builds one color lower (H - 1)."""
-    return build_formulation(kind, replace(inst, upper_bound=inst.upper_bound + 1))
+    """What `build_formulation` builds for `one_color_worse(inst)`: the four
+    color-indexed models with H colors, and `rep` with at most H
+    representatives. Its optimum is chi, also on a settled instance, so
+    tests of a formulation itself solve this model. The program builds one
+    color lower (H - 1)."""
+    return build_formulation(kind, one_color_worse(inst))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from chromatic.graph import Graph, gnp_random, verify_coloring
 from chromatic.models import FORMULATIONS, apply_clique_fixings, build_formulation, extract_coloring
 from chromatic.oracle import chromatic_number_exact
 from chromatic.preprocess import greedy_upper_bound, preprocess_pipeline, restore_coloring
+from conftest import one_color_worse
 
 ALL_RUNS = [(kind, fixed) for kind in FORMULATIONS for fixed in (False, True)]
 
@@ -30,13 +31,6 @@ def graphs(draw, max_n=12):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph.from_edges(n, [pair for pair, keep in zip(pairs, chosen) if keep])
-
-
-def one_color_worse(inst):
-    """`inst` with a bound one color above its own, H + 1. It keeps its
-    H-coloring, so a run that wrongly ends `infeasible` fails `optima`'s
-    color count."""
-    return replace(inst, upper_bound=inst.upper_bound + 1)
 
 
 def optima(g: Graph, runs, adapter=None, inst=None) -> dict[tuple[str, bool], int]:
