@@ -163,7 +163,7 @@ def run_highs(load: Callable[[object, object], bool], time_limit: float) -> High
         fun=info.objective_function_value if incumbent else None,
         message=solver.modelStatusToString(model_status),
         mip_node_count=max(info.mip_node_count, 0),
-        mip_dual_bound=info.mip_dual_bound if mip and incumbent else None,
+        mip_dual_bound=info.mip_dual_bound if mip and (incumbent or limit) else None,
         mip_gap=info.mip_gap if mip and incumbent else None)
 
 

@@ -3,12 +3,12 @@
 The pipeline: (a) remove dominated vertices to a fixed point, (b) DSATUR
 upper bound H on the reduced graph, (c)/(e) randomized maximal-clique search
 scored either by clique size or by the fixing-count objective
-|Q|*H + |delta(Q)|, grown in numpy a block of trials at a time and stopped
-after the first block whose best clique reaches H, then a TabuCol descent
-that lowers the upper bound one color at a time towards |Q|, (d) early exit
-when the clique size meets the upper bound. A dominance restore stack maps
-any coloring of the reduced graph back to the original one without new
-colors.
+|Q|*H + |delta(Q)|, grown in numpy a block of trials at a time on one
+counter-based SplitMix64 stream and stopped after the first block whose
+best clique reaches H, then a TabuCol descent that lowers the upper bound
+one color at a time towards |Q|, (d) early exit when the clique size meets
+the upper bound. A dominance restore stack maps any coloring of the reduced
+graph back to the original one without new colors.
 """
 from __future__ import annotations
 
@@ -23,15 +23,10 @@ from .graph import Coloring, ColoringError, Graph, verify_coloring
 
 DEFAULT_CLIQUE_TIME_BUDGET = 60.0
 CLIQUE_TRIALS_PER_DENSITY = 300
-# Clique-search trials grown side by side, the 32-bit outputs read from a
-# trial's stream at a time, and the outputs a growth step looks at per trial.
-# A draw takes one output plus one per rejection, about 1.5 on average; about
-# one draw in 500 rejects all CLIQUE_LOOKAHEAD and takes another step. A
-# trial re-seeds its stream to read on once fewer than CLIQUE_LOOKAHEAD of
-# its CLIQUE_WORDS are left.
+# Clique-search trials grown side by side, and the increment of SplitMix64's
+# state (the odd integer nearest 2**64 / golden ratio).
 CLIQUE_BLOCK = 1024
-CLIQUE_WORDS = 64
-CLIQUE_LOOKAHEAD = 8
+SPLITMIX64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 # TabuCol's budget per color count tried, in moves, and its tabu tenure: a
 # barred move stays barred for randrange(SPREAD) + PER_CONFLICT * (number of
 # conflicting vertices) moves. A move count, not a time, so H does not depend
@@ -277,66 +272,46 @@ def _check_clique(g: Graph, clique) -> None:
                 raise NotACliqueError(f"vertices {u} and {v} are not adjacent")
 
 
-def _read_words(rng: random.Random, stream: str, skip: int) -> bytes:
-    """`CLIQUE_WORDS` successive 32-bit outputs of `stream` after its first
-    `skip`, little-endian: `getrandbits(32 * w)` lays out w outputs in that
-    order, the first in the lowest word."""
-    rng.seed(stream)
-    if skip:
-        rng.getrandbits(32 * skip)
-    return rng.getrandbits(32 * CLIQUE_WORDS).to_bytes(4 * CLIQUE_WORDS, "little")
+def splitmix64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function (Steele, Lea and Flood, 2014) on each
+    state in the `uint64` array `x`, with wrapping arithmetic: a generator
+    that starts at state 0 gives splitmix64(gamma), splitmix64(2*gamma), ..."""
+    z = (x ^ (x >> 30)) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> 27)) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> 31)
 
 
-def _grow_cliques(adj: np.ndarray, streams: list[str], rng: random.Random) -> np.ndarray:
-    """One randomized maximal clique per stream, grown side by side.
+def _grow_cliques(adj: np.ndarray, key: np.ndarray, trials: range) -> np.ndarray:
+    """One randomized maximal clique per trial, grown side by side.
 
-    Row i of the result marks the members of the clique that stream i
-    grows by `randrange(n)` for the start vertex and then `choice` over the
-    ascending list of vertices adjacent to every member so far, until that
-    list is empty. Each draw replays `Random._randbelow` on the stream's
-    32-bit outputs: with c candidates left, take the top `c.bit_length()`
-    bits of the next output and draw again while they are >= c; an
-    accepted r picks the r-th candidate in ascending order. The start
-    vertex is that draw over all n vertices. A step looks at the next
-    `CLIQUE_LOOKAHEAD` outputs of every growing trial at once and takes the
-    first accepted one. `rng` is re-seeded for every stream, so no
-    generator outlives its reads; a trial whose next outputs run past its
-    buffer re-seeds its stream and skips the outputs it has used.
+    Row i of the result marks the members of the clique that trial
+    t = `trials[i]` grows: step s draws z = splitmix64(key + gamma*(t*n + s))
+    and, with c candidates left, takes the floor((z >> 32) * c / 2**32)-th in
+    ascending order; the candidates are all n vertices at step 0, then the
+    vertices adjacent to every member so far, until none is left. A clique
+    has at most n members, so no two (t, s) share a draw, and a trial's
+    clique depends on no other trial.
     """
-    b, n = len(streams), adj.shape[0]
-    words = np.frombuffer(bytearray().join(_read_words(rng, s, 0) for s in streams),
-                          dtype="<u4").reshape(b, CLIQUE_WORDS)
-    shift = np.array([32 - c.bit_length() for c in range(n + 1)], dtype=np.uint32)
+    b, n = len(trials), adj.shape[0]
     narrow = np.min_scalar_type(n)  # the rank of a candidate never exceeds n
     members = np.zeros((b, n), dtype=bool)
-    # Per growing trial: its id, candidates, their count, the outputs its
-    # stream has given and the stream position of its buffer's first word.
+    # Per growing trial: its row, candidates, their count and its next state.
     ids = np.arange(b)
     candidates = np.ones((b, n), dtype=bool)
-    count = np.full(b, n)
-    used = np.zeros(b, dtype=np.intp)
-    start = np.zeros(b, dtype=np.intp)
-    ahead = np.arange(CLIQUE_LOOKAHEAD)
+    count = np.full(b, n, dtype=np.uint64)
+    state = key + SPLITMIX64_GAMMA * (np.arange(trials.start, trials.stop, dtype=np.uint64)
+                                      * np.uint64(n))
     while ids.size:
-        for i in np.flatnonzero(used - start > CLIQUE_WORDS - CLIQUE_LOOKAHEAD):
-            t, start[i] = ids[i], used[i]
-            words[t] = np.frombuffer(_read_words(rng, streams[t], int(used[i])), dtype="<u4")
-        r = words[ids[:, None], (used - start)[:, None] + ahead] >> shift[count][:, None]
-        accepted = r < count[:, None]
-        first = accepted.argmax(axis=1)
-        drawn = accepted.any(axis=1)
-        used += np.where(drawn, first + 1, CLIQUE_LOOKAHEAD)
-        pick = np.where(drawn, r[np.arange(ids.size), first], 0).astype(narrow)
+        pick = ((splitmix64(state) >> 32) * count >> 32).astype(narrow)
         v = np.argmax(np.cumsum(candidates, axis=1, dtype=narrow) > pick[:, None], axis=1)
-        members[ids, v] |= drawn
-        kept = adj[v]
-        kept[~drawn] = True  # a trial with no accepted output keeps its candidates
-        candidates &= kept
-        count = candidates.sum(axis=1)
+        members[ids, v] = True
+        candidates &= adj[v]
+        count = candidates.sum(axis=1, dtype=np.uint64)
+        state += SPLITMIX64_GAMMA
         growing = count > 0
         if not growing.all():
             ids, candidates, count = ids[growing], candidates[growing], count[growing]
-            used, start = used[growing], start[growing]
+            state = state[growing]
     return members
 
 
@@ -345,26 +320,27 @@ def find_clique(g: Graph, upper_bound: int, mode: str, seed: int,
                 trials: int | None = None) -> tuple[int, ...]:
     """Best clique over randomized trials.
 
-    Runs ceil(300 * |E| / |V|) trials (at least one). Trial t draws from its
-    own stream `random.Random(f"clique:{seed}:{t}")`: `randrange(n)` for the
-    start vertex, then `choice` over the ascending list of candidates
-    (vertices adjacent to every member so far) until none is left. Mode 'c'
-    scores a clique Q by |Q|, mode 'e' by |Q|*H + |delta(Q)| with H =
-    `upper_bound`, a coloring bound, where |delta(Q)| is the members' degree
-    sum minus |Q|(|Q| - 1), since each edge inside Q adds 2 to that sum. The
-    first trial with the highest score wins.
+    Runs ceil(300 * |E| / |V|) trials (at least one). Every draw comes from
+    one SplitMix64 stream keyed by key = splitmix64(seed mod 2**64), so seed
+    and seed + 2**64 give the same search: trial t takes its start vertex
+    from draw (t, 0) and then, at step s, one of the candidates (vertices
+    adjacent to every member so far) from draw (t, s), until none is left
+    (`_grow_cliques`). Mode 'c' scores a clique Q by |Q|, mode 'e' by
+    |Q|*H + |delta(Q)| with H = `upper_bound`, a coloring bound, where
+    |delta(Q)| is the members' degree sum minus |Q|(|Q| - 1), since each
+    edge inside Q adds 2 to that sum. The first trial with the highest
+    score wins.
 
     Trials run in blocks of `CLIQUE_BLOCK`, grown side by side on an n x n
-    adjacency matrix (n^2 bytes), and each trial gives the clique that
-    drawing from its stream one call at a time gives. No clique has more
-    than H members, so the search ends after the first block whose best
-    clique has H members: in mode 'c' that is the clique the full search
-    returns; in mode 'e' a later block could hold another clique of H
-    members with a larger boundary, which the full search would return.
-    The search also ends after the first block that finishes past
-    `time_budget` seconds: the budget is checked between blocks, so it can
-    be overrun by up to one block. Results are reproducible whenever the
-    budget does not bind.
+    adjacency matrix (n^2 bytes); a trial's clique does not depend on its
+    block. No clique has more than H members, so the search ends after the
+    first block whose best clique has H members: in mode 'c' that is the
+    clique the full search returns; in mode 'e' a later block could hold
+    another clique of H members with a larger boundary, which the full
+    search would return. The search also ends after the first block that
+    finishes past `time_budget` seconds: the budget is checked between
+    blocks, so it can be overrun by up to one block. Results are
+    reproducible whenever the budget does not bind.
     """
     if trials is None:
         trials = max(1, math.ceil(CLIQUE_TRIALS_PER_DENSITY * g.m / g.n)) if g.n else 1
@@ -379,14 +355,13 @@ def find_clique(g: Graph, upper_bound: int, mode: str, seed: int,
         u, v = np.array(g.edges).T
         adj[u, v] = adj[v, u] = True
     degree = adj.sum(axis=1)
-    rng = random.Random()
+    key = splitmix64(np.array([seed % 2**64], dtype=np.uint64))
     deadline = time.monotonic() + time_budget
     best, best_score = None, -1
     for first in range(0, trials, CLIQUE_BLOCK):
         if best is not None and (len(best) >= upper_bound or time.monotonic() > deadline):
             break
-        streams = [f"clique:{seed}:{t}" for t in range(first, min(first + CLIQUE_BLOCK, trials))]
-        members = _grow_cliques(adj, streams, rng)
+        members = _grow_cliques(adj, key, range(first, min(first + CLIQUE_BLOCK, trials)))
         k = members.sum(axis=1)
         score = k if mode == "c" else k * upper_bound + members @ degree - k * (k - 1)
         i = int(np.argmax(score))

@@ -186,6 +186,40 @@ class TestNormalization:
         if result.lower_bound is not None and result.upper_bound is not None:
             assert result.lower_bound <= result.upper_bound
 
+    def test_timeout_without_incumbent_keeps_the_dual_bound_on_both_routes(self, monkeypatch,
+                                                                          tmp_path):
+        stub = lpsolve.HighsResult(SolveStatus.TIMEOUT_NO_SOLUTION, x=None, fun=None,
+                                   message="Time limit reached", mip_node_count=3,
+                                   mip_dual_bound=4.2, mip_gap=None)
+        monkeypatch.setattr(lpsolve, "run_highs", lambda load, time_limit: stub)
+
+        class FileRoute:
+            """The `builtin-sub` route in this process: `chromatic-lps` on the
+            LP file, its solution file read back as the parent reads it."""
+            name = "file"
+
+            def solve_model(self, model, lp_path, time_limit, seed, workdir):
+                solution = workdir / "model.sol"
+                assert lpsolve.main([str(lp_path), "--out", str(solution)]) == 0
+                return parse_solution(solution.read_text(), "chromatic")
+
+        model = build_pop(families.cycle(5), 3, anchor=0)
+        assert model.offset == 1
+        for adapter, workdir in ((BuiltinAdapter(), None), (FileRoute(), tmp_path)):
+            result = solve(model, adapter=adapter, time_limit=30, workdir=workdir)
+            assert (result.status, result.lower_bound, result.upper_bound, result.values) == (
+                SolveStatus.TIMEOUT_NO_SOLUTION, 5 + 1, None, None)
+
+    def test_real_timeout_without_incumbent_reports_a_bound(self):
+        # HiGHS neither finds a 12-coloring of this graph (|Q| = 9, H = 13) nor
+        # proves there is none within 30 s; it has a root bound within 0.5 s
+        inst = preprocess_pipeline(gnp_random(80, 0.5, 1), seed=1)
+        assert (inst.lower_bound, inst.upper_bound) == (9, 13)
+        model = apply_clique_fixings(build_formulation("pop", inst), inst)
+        result = solve(model, time_limit=2.0)
+        assert result.status is SolveStatus.TIMEOUT_NO_SOLUTION
+        assert result.lower_bound is not None
+
 
 ROUTE_GRAPHS = [gnp_random(n, p, seed=n) for n in (8, 10, 12) for p in (0.3, 0.7)] \
     + [families.cycle(5)]
@@ -308,24 +342,24 @@ def _scipy_milp_layout(arrays: dict) -> dict:
 GOLDEN_MODEL_DIGESTS = {
     ('ass-s', False): ("afe69461dad7be8cb74f3b9ce53ab09d720ff6422c9e01b54f654a1b5cfea034",
                        "211dfd16fcf10b81a9e7eab556c84e634f67f5f0c91beb938b5e9923e5b5f0c5"),
-    ('ass-s', True): ("1b246d7cc380eab6ddccfc781045e54d4f62f29b81fd16d310f4000ba8509e91",
-                      "5f7136fd1dce8af009a3b79d987c95bda6136c3faa76127a79152a0e345a9161"),
+    ('ass-s', True): ("b6bf7ac53bdca898943f40c486a28b85e0e45f15d8c1976824862209d6a1df2a",
+                      "86c90a8fe2e7d80b9389c6bae8c4343f56965334b8d187a06abaad0ecba10bb9"),
     ('ass', False): ("af2b4e3cdd687874676221f592dda63a83514cc819c9c4763d80aa62f83ce569",
                      "1ffc0fd287197dc435bc96f95ff1e2625280ad974f387ca0ef4b47108974f7f4"),
-    ('ass', True): ("064a4d7d53642a65ae0fd90f6ce80d20cd01e89cf9872e21bd33f475fb49efd0",
-                    "26dccd0ad8bffc6a3db46654b55a49b1bb0dfc37935b15baf07beb295b2f758f"),
+    ('ass', True): ("74d688e10708dba55aeb2459aaee95671944a64fc70312ee009056a76ad4d4ba",
+                    "f0468de19f6c3f3d7737ab50e5f00c354d1ee9ad80d65676208f35e65e3cea07"),
     ('pop', False): ("893a8dda2564106e2fea3d9ecc13c00c121919de09a2c9adb4bd6a19d511877f",
                      "8910d52d782477dd849eedc1f953540e3eae6102cc530a13bba31a84d61f8704"),
-    ('pop', True): ("d7ea8809236f46892b4023e225a0e112504f86ce9abdf5a1b8a82987af6d90b3",
-                    "45492bf03d856788139849bbf716f41d2dac35778e41fb7c5a8f1d3443b98b4c"),
+    ('pop', True): ("99d40175a71cf98430ea79259de6f7bd2a80682a7a0689f9225864fe68be1071",
+                    "e6e4900a08f0344ec96ae640bb3e5cf414406c58ec05706872117a673dac2c74"),
     ('pop2', False): ("1580ab59d5728555a26548597899800bd1005f7a686f79a6118340bd4cb3c73e",
                       "0b3e58c2861f62211f6d5611f8c5a42d7f361f75d2197716e3c7ba655fafb0a1"),
-    ('pop2', True): ("f3aaae31881d15fd39fa34c994fd2d9987540b2017898d5ecc2aa3848973c417",
-                     "1dde2aa61c6d8e3fdf77ee2acefad9ebcb2b68ffcef385b924677e173b87d3dc"),
-    ('rep', False): ("56b1272a42c146a7ab74ca2be6904f1fb0066110f60367882eb685cc6a8798c2",
-                     "487aa636e49dcd1b658d9ad67568b0650ca8b01508183935aa532a678889cc5e"),
-    ('rep', True): ("3087dd25ac84b35fbfabeb832b5f4218871799c2ae7df37941950e4bdd2efb50",
-                    "755dee2cff6d2a23d4eb875395956606c68b98538c5219400cb9b1f15cb26c3f"),
+    ('pop2', True): ("bee05b70145784a023da172151e1e38723f954ecf275f49c83572c81abbcc80f",
+                     "4aceccf1f3a5a6b9a8e613d736c9c88191ac599103a00e09e2da455c1aa852a2"),
+    ('rep', False): ("50ca16b28c95a42cecd0d64b0a920fb420dd33202ea7471a517c0ddd49090674",
+                     "d4464a1dd13c04731ba3b48f768c2c1f4ee4f4b242c62c25bfa5a61cd7a79633"),
+    ('rep', True): ("d58f632cd4d8a94eee5337464a059f40c54cdc530d92325e541a1824c94fd1c1",
+                    "4065eb69724797f57fa4a2b67b85dff2bcaafa9225d04bd010de64b2b1aa2cd7"),
 }
 
 

@@ -162,6 +162,15 @@ class TestPreprocessingBounds:
             coloring = outcome.colorings[record.model]
             assert verify_coloring(self.C7, coloring).valid and coloring.num_colors == 3
 
+    def test_timeout_bound_counts_up_to_h_only(self, monkeypatch):
+        # chi = min(H, the (H - 1)-color model's optimum): a dual bound of H or
+        # more settles the row at H, never lb > ub
+        outcome = self.run(monkeypatch, lambda raw: RawSolve(
+            SolveStatus.TIMEOUT_NO_SOLUTION, None, 7.0, None))
+        for record in outcome.records:
+            assert (record.lb, record.ub, record.status) == (3, 3, "optimal")
+            assert record.coloring_source == "preprocessing"
+
     def test_timeout_with_an_incumbent_keeps_the_solvers_bound_and_coloring(self, monkeypatch):
         # with H stubbed to 4 the 3-color models are feasible; the solve
         # reports its optimum as an incumbent with no dual bound

@@ -1,7 +1,8 @@
 """No chromatic process imports scipy.optimize or scipy.sparse; the HiGHS
 binding loads only where HiGHS runs in-process; the `builtin-sub` child
-loads two modules of the package, no numpy and no process pool. Each case
-runs in a fresh interpreter."""
+loads two modules of the package, no numpy and no process pool; no process
+imports numpy.random, which adds about 6 MB to it. Each case runs in a
+fresh interpreter."""
 from chromatic.lpsolve import HIGHS_MODULE
 from conftest import fresh
 
@@ -46,6 +47,16 @@ def test_builtin_sub_parent_never_imports_scipy():
         "print(json.dumps([record.status, record.ub,\n"
         "                  [m for m in sys.modules if m.split('.')[0] == 'scipy']]))")
     assert (status, chi, loaded) == ("optimal", 3, [])
+
+
+def test_preprocessing_and_a_builtin_solve_import_no_numpy_random():
+    status, loaded = fresh(
+        "from chromatic import RunConfig, families, preprocess_pipeline, solve_instance\n"
+        "g = families.cycle(7)\n"
+        "preprocess_pipeline(g, seed=1)\n"
+        "(record,) = solve_instance(g, 'c7', RunConfig(models=('pop',))).records\n"
+        "print(json.dumps([record.status, 'numpy.random' in sys.modules]))")
+    assert (status, loaded) == ("optimal", False)
 
 
 def test_builtin_adapter_loads_highs_when_made():

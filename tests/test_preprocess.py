@@ -10,9 +10,9 @@ from chromatic import families, preprocess
 from chromatic.graph import (Coloring, ColoringError, Graph, boundary_edges, gnp_random,
                              verify_coloring)
 from chromatic.oracle import chromatic_number_exact, _greedy_clique
-from chromatic.preprocess import (CLIQUE_BLOCK, CLIQUE_WORDS, ReducedInstance, find_clique,
+from chromatic.preprocess import (CLIQUE_BLOCK, SPLITMIX64_GAMMA, ReducedInstance, find_clique,
                                   greedy_upper_bound, preprocess_pipeline, remove_dominated,
-                                  restore_coloring, tabucol)
+                                  restore_coloring, splitmix64, tabucol)
 
 
 class TestRemoveDominated:
@@ -233,15 +233,33 @@ def small_graphs(draw, max_n=14):
     return Graph.from_edges(n, [e for e, kept in zip(pairs, keep) if kept])
 
 
+MASK = 2**64 - 1
+GAMMA = 0x9E3779B97F4A7C15
+# any int seeds the search; seed and seed + 2**64 share a stream
+SEEDS = st.integers(-10_000, 10_000) | st.integers(-2**70, 2**70)
+
+
+def splitmix64_int(x):
+    """SplitMix64's output function on state x, in Python ints."""
+    z = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK
+    return z ^ (z >> 31)
+
+
 def reference_clique(g, seed, t):
-    """Trial t as first written: one draw at a time from its own generator,
-    over a candidate set re-sorted for every draw."""
-    rng = random.Random(f"clique:{seed}:{t}")
-    start = rng.randrange(g.n)
-    clique = [start]
-    candidates = set(g.adjacency[start])
+    """Trial t alone, in Python ints: step s draws from state
+    key + gamma*(t*n + s) and picks among the candidates, re-sorted for
+    every draw."""
+    key = splitmix64_int(seed % 2**64)
+
+    def draw(s, options):
+        z = splitmix64_int((key + GAMMA * (t * g.n + s)) & MASK)
+        return options[(z >> 32) * len(options) >> 32]
+
+    clique = [draw(0, range(g.n))]
+    candidates = set(g.adjacency[clique[0]])
     while candidates:
-        v = rng.choice(sorted(candidates))
+        v = draw(len(clique), sorted(candidates))
         clique.append(v)
         candidates &= g.adjacency[v]
     return tuple(sorted(clique))
@@ -277,45 +295,42 @@ def cocktail_party(n):
 
 
 @pytest.fixture
-def seeded_streams(monkeypatch):
-    """Every `clique:` stream a generator is seeded with, repeats included."""
-    seeded = []
+def grown_trials(monkeypatch):
+    """Every trial the clique search grows, over all its blocks."""
+    grown, grow = [], preprocess._grow_cliques
 
-    class Counting(random.Random):
-        def seed(self, a=None, version=2):
-            if isinstance(a, str) and a.startswith("clique:"):
-                seeded.append(a)
-            super().seed(a, version)
+    def spy(adj, key, trials):
+        grown.extend(trials)
+        return grow(adj, key, trials)
 
-    monkeypatch.setattr(preprocess.random, "Random", Counting)
-    return seeded
+    monkeypatch.setattr(preprocess, "_grow_cliques", spy)
+    return grown
 
 
 class TestFindCliqueAgainstReference:
     @settings(max_examples=150)
-    @given(small_graphs(), st.integers(0, 10_000), st.sampled_from("ce"), st.integers(1, 30),
+    @given(small_graphs(), SEEDS, st.sampled_from("ce"), st.integers(1, 30),
            st.integers(1, 14))
     def test_same_first_best_clique(self, g, seed, mode, trials, upper_bound):
         want = reference_find_clique(g, upper_bound, mode, seed, trials)
         assert find_clique(g, upper_bound, mode, seed, trials=trials) == want
 
     @settings(max_examples=12)
-    @given(small_graphs(), st.integers(0, 10_000), st.sampled_from("ce"),
+    @given(small_graphs(), SEEDS, st.sampled_from("ce"),
            st.integers(CLIQUE_BLOCK - 2, 2 * CLIQUE_BLOCK + 5))
     def test_same_clique_across_blocks(self, g, seed, mode, trials):
         # no clique of a graph short of complete has n members, so every block runs
         want = reference_find_clique(g, g.n, mode, seed, trials)
         assert find_clique(g, g.n, mode, seed, trials=trials) == want
 
-    @pytest.mark.parametrize("g", [families.complete(CLIQUE_WORDS + 6), cocktail_party(75)],
+    @pytest.mark.parametrize("g", [families.complete(70), cocktail_party(75)],
                              ids=["complete", "cocktail_party"])
-    def test_same_clique_when_the_words_run_out(self, g, seeded_streams):
+    def test_same_clique_on_long_trials(self, g):
+        # every trial takes 70 or 75 steps, far more than the small graphs do
         for seed in range(3):
             for mode in "ce":
                 want = reference_find_clique(g, g.n, mode, seed, 3)
                 assert find_clique(g, g.n, mode, seed, trials=3) == want
-        # each trial needs more outputs than one read holds, so it re-seeds
-        assert len(seeded_streams) > len(set(seeded_streams))
 
     @given(small_graphs(), st.integers(0, 10_000))
     def test_degree_sum_counts_the_boundary(self, g, seed):
@@ -326,20 +341,27 @@ class TestFindCliqueAgainstReference:
 
 
 class TestCliqueStreams:
-    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
-    @pytest.mark.parametrize("words", [1, 2, 5, CLIQUE_WORDS])
-    def test_bulk_bits_are_successive_outputs(self, seed, words):
-        bulk = random.Random(f"clique:{seed}:3").getrandbits(32 * words)
-        one_by_one = random.Random(f"clique:{seed}:3")
-        assert (np.frombuffer(bulk.to_bytes(4 * words, "little"), dtype="<u4").tolist()
-                == [one_by_one.getrandbits(32) for _ in range(words)])
+    def test_splitmix64_gives_the_published_outputs(self):
+        # the first three outputs of SplitMix64 from state 0
+        states = np.array([GAMMA, 2 * GAMMA & MASK, 3 * GAMMA & MASK], dtype=np.uint64)
+        assert splitmix64(states).tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
+                                               0x06C45D188009454F]
 
-    @pytest.mark.parametrize("skip", [0, 1, CLIQUE_WORDS, 3 * CLIQUE_WORDS - 2])
-    def test_read_words_skips_what_was_used(self, skip):
-        rng = random.Random("clique:5:0")
-        outputs = [rng.getrandbits(32) for _ in range(skip + CLIQUE_WORDS)]
-        words = preprocess._read_words(random.Random(), "clique:5:0", skip)
-        assert np.frombuffer(words, dtype="<u4").tolist() == outputs[skip:]
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    @pytest.mark.parametrize("words", [1, 2, 5, 64])
+    def test_bulk_bits_are_successive_outputs(self, seed, words):
+        # the draws of trial 3 on `words` vertices, computed in numpy at once,
+        # are successive outputs of one SplitMix64 generator run in Python ints
+        key = splitmix64(np.array([seed], dtype=np.uint64))
+        steps = np.arange(3 * words, 4 * words, dtype=np.uint64)
+        bulk = splitmix64(key + SPLITMIX64_GAMMA * steps)
+        state = (int(key[0]) + 3 * words * GAMMA) & MASK
+        one_by_one = []
+        for _ in range(words):
+            one_by_one.append(splitmix64_int(state))
+            state = (state + GAMMA) & MASK
+        assert int(key[0]) == splitmix64_int(seed)
+        assert bulk.tolist() == one_by_one
 
     @pytest.mark.parametrize("mode", "ce")
     def test_zero_budget_keeps_the_first_block(self, mode):
@@ -349,18 +371,18 @@ class TestCliqueStreams:
         assert (find_clique(g, ub, mode, 4, time_budget=0)
                 == find_clique(g, ub, mode, 4, trials=min(CLIQUE_BLOCK, planned_trials(g))))
 
-    def test_search_stops_once_the_clique_meets_the_bound(self, seeded_streams):
+    def test_search_stops_once_the_clique_meets_the_bound(self, grown_trials):
         g = families.complete(12)
         assert planned_trials(g) > CLIQUE_BLOCK
         inst = preprocess_pipeline(g, seed=3)
         assert inst.solved_in_preprocessing
-        assert len(set(seeded_streams)) == CLIQUE_BLOCK
+        assert len(set(grown_trials)) == len(grown_trials) == CLIQUE_BLOCK
 
-    def test_search_runs_every_trial_when_it_cannot_settle(self, seeded_streams):
+    def test_search_runs_every_trial_when_it_cannot_settle(self, grown_trials):
         g = gnp_random(45, 0.5, 0)
         inst = preprocess_pipeline(g, seed=0)
         assert not inst.solved_in_preprocessing
-        assert len(set(seeded_streams)) == planned_trials(inst.reduced.graph) > CLIQUE_BLOCK
+        assert len(set(grown_trials)) == planned_trials(inst.reduced.graph) > CLIQUE_BLOCK
 
 
 def reference_pipeline(g, mode, seed):
@@ -435,8 +457,8 @@ class TestPipeline:
 
 
 # Cliques and pipeline results pinned on the draw contract of `find_clique`
-# (per-trial `clique:<seed>:<trial>` streams, `randrange` then `choice` over
-# the ascending candidate list). Any change to the search that moves one of
+# (step s of trial t draws SplitMix64 at key + gamma*(t*n + s) and picks
+# among the ascending candidates). Any change to the search that moves one of
 # these moves LP bytes and HiGHS runs downstream.
 # name: (function that makes the graph, seed)
 GOLDEN_GRAPHS = {
@@ -449,28 +471,28 @@ GOLDEN_GRAPHS = {
 
 # name: (mode-c clique, mode-e clique, pipeline (clique, anchor, lb, ub))
 GOLDEN_CLIQUES = {
-    "gnp45_0.5_s0": ((4, 6, 7, 17, 25, 39, 41), (2, 7, 10, 22, 29, 36, 39),
+    "gnp45_0.5_s0": ((2, 4, 7, 10, 17, 22, 39), (2, 7, 8, 10, 29, 36, 39),
                      ((2, 7, 10, 22, 29, 36, 39), 39, 7, 9)),
-    "gnp40_0.5_s1": ((7, 16, 19, 29, 33, 34, 35), (7, 16, 19, 29, 33, 34, 35),
-                     ((7, 16, 19, 29, 33, 34, 35), 16, 7, 9)),
-    "gnp35_0.5_s2": ((5, 10, 13, 17, 23, 28), (5, 10, 13, 17, 23, 28),
-                     ((5, 10, 13, 17, 23, 28), 17, 6, 7)),
-    "gnp35_0.7_s0": ((0, 3, 8, 9, 11, 16, 28, 29, 33, 34), (0, 3, 8, 9, 11, 12, 16, 28, 33, 34),
+    "gnp40_0.5_s1": ((7, 14, 16, 21, 23, 27, 38), (1, 7, 16, 27, 29, 34, 38),
+                     ((1, 7, 16, 27, 29, 34, 38), 16, 7, 9)),
+    "gnp35_0.5_s2": ((1, 5, 9, 14, 18, 28), (0, 5, 10, 13, 17, 23),
+                     ((0, 5, 10, 13, 17, 23), 17, 6, 7)),
+    "gnp35_0.7_s0": ((0, 1, 4, 9, 14, 17, 19, 27, 30, 31), (0, 3, 8, 9, 11, 16, 27, 29, 33, 34),
                      ((0, 3, 8, 9, 11, 16, 27, 29, 33, 34), 0, 10, 11)),
-    "gnp30_0.7_s1": ((0, 1, 6, 7, 12, 16, 17, 23, 25), (0, 1, 6, 7, 11, 16, 17, 23, 25),
+    "gnp30_0.7_s1": ((0, 1, 6, 7, 11, 16, 17, 23, 25), (0, 1, 6, 7, 11, 16, 17, 23, 25),
                      ((0, 1, 6, 7, 11, 16, 17, 23, 25), 7, 9, 10)),
-    "gnp25_0.7_s2": ((1, 6, 7, 8, 12, 20, 21, 24), (3, 4, 6, 7, 12, 14, 21, 24),
+    "gnp25_0.7_s2": ((2, 8, 10, 15, 18, 21, 22, 23), (3, 4, 6, 7, 12, 14, 21, 24),
                      ((3, 4, 6, 7, 12, 14, 21, 24), 6, 8, 8)),
-    "gnp30_0.9_s0": ((1, 2, 4, 7, 12, 14, 15, 16, 19, 20, 21, 22, 24, 26, 27),
+    "gnp30_0.9_s0": ((0, 1, 2, 4, 7, 8, 10, 12, 14, 15, 17, 19, 24, 27, 28),
                      (0, 1, 2, 4, 7, 8, 12, 14, 15, 16, 19, 24, 26, 27, 28),
                      ((0, 1, 2, 4, 7, 8, 11, 13, 14, 15, 18, 23, 25, 26, 27), 1, 15, 15)),
-    "gnp25_0.9_s1": ((0, 1, 2, 5, 7, 8, 9, 11, 12, 16, 17, 18, 20, 21, 23),
-                     (0, 1, 2, 5, 7, 8, 9, 11, 12, 16, 17, 18, 20, 21, 23),
+    "gnp25_0.9_s1": ((0, 1, 2, 3, 5, 7, 8, 9, 11, 12, 17, 18, 20, 21, 23),
+                     (0, 1, 2, 3, 5, 7, 8, 9, 11, 12, 17, 18, 20, 21, 23),
                      ((0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14), 0, 15, 15)),
-    "gnp20_0.9_s2": ((0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 18),
+    "gnp20_0.9_s2": ((0, 2, 3, 4, 5, 6, 7, 8, 10, 13, 14, 16, 17),
                      (0, 2, 3, 4, 5, 6, 7, 8, 10, 11, 13, 14, 18),
                      ((0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 0, 13, 13)),
-    "petersen": ((1, 6), (1, 6), ((1, 6), 1, 2, 3)),
+    "petersen": ((0, 5), (0, 5), ((0, 5), 0, 2, 3)),
     "1-FullIns_3": ((6, 7, 8, 27), (6, 7, 8, 27), ((0, 1, 2, 5), 5, 4, 4)),
 }
 
