@@ -426,6 +426,14 @@ def apply_clique_fixings(m: MilpModel, inst: PreprocessedInstance) -> MilpModel:
     block) in the pure partial-ordering model. A fixing is the bound (v, v)
     in `bounds`. Both families need |Q| <= H, the model's color bound (H - 1
     of the instance, from `build_formulation`), else ModelError.
+
+    The returned model's rows are settled (`_settle_rows`): fixed columns
+    appear in no row, their activity moved into the row bounds, and a row
+    the column bounds already satisfy is dropped, as is a block left empty.
+    A row the fixings violate raises FixingConflictError naming it. The
+    columns, `bounds`, objective and offset are those of the model with its
+    rows whole, and so is the feasible set, of the integer model and of its
+    LP relaxation.
     """
     g = m.graph
     clique = tuple(inst.clique)
@@ -483,7 +491,61 @@ def apply_clique_fixings(m: MilpModel, inst: PreprocessedInstance) -> MilpModel:
     else:
         raise ModelError(f"unknown formulation {m.kind!r}")
 
-    return replace(m, blocks=blocks, bounds=bounds)
+    return replace(m, blocks=_settle_rows(blocks, m.columns, bounds), bounds=bounds)
+
+
+def _kept_names(names, kept: list[int]):
+    def picked() -> list[str]:
+        every = names()
+        return [every[r] for r in kept]
+    return picked
+
+
+def _settle_rows(blocks: tuple[RowBlock, ...], columns: Mapping[str, int],
+                 bounds: Mapping[str, tuple[float, float]]) -> tuple[RowBlock, ...]:
+    """The row blocks of an all-binary model with its fixed columns taken out.
+
+    Each row's activity over its fixed columns moves into its bounds. A row
+    whose remaining terms stay within those bounds for every value of the
+    free columns in [0, 1] holds everywhere in the column bounds and is
+    dropped, and so is a block left with no row. A kept row keeps only its
+    free terms; one with none left is violated by the fixings, so it raises
+    FixingConflictError. Both the integer model and its LP relaxation keep
+    their feasible sets.
+    """
+    value = np.zeros(len(columns))
+    fixed = np.zeros(len(columns), dtype=bool)
+    for name, (lo, hi) in bounds.items():
+        if lo == hi:
+            value[columns[name]], fixed[columns[name]] = lo, True
+    settled = []
+    for block in blocks:
+        count = len(block)
+        rows = np.repeat(np.arange(count), np.diff(block.indptr))
+        pinned = fixed[block.cols]
+        free = np.where(pinned, 0.0, block.coefs)
+        shift = np.bincount(rows, weights=np.where(pinned, block.coefs * value[block.cols], 0.0),
+                            minlength=count)
+        lo, hi = block.lo - shift, block.hi - shift
+        keep = ((np.bincount(rows, weights=np.minimum(free, 0.0), minlength=count) < lo)
+                | (np.bincount(rows, weights=np.maximum(free, 0.0), minlength=count) > hi))
+        if keep.all() and not pinned.any():
+            settled.append(block)
+            continue
+        widths = np.bincount(rows[~pinned], minlength=count)
+        violated = np.flatnonzero(keep & (widths == 0))
+        if len(violated):
+            raise FixingConflictError(f"the clique fixings violate row "
+                                      f"{block.names()[violated[0]]}")
+        if not keep.any():
+            continue
+        terms = keep[rows] & ~pinned
+        indptr = np.zeros(np.count_nonzero(keep) + 1, dtype=np.int64)
+        np.cumsum(widths[keep], out=indptr[1:])
+        settled.append(RowBlock(block.family, indptr=indptr, cols=block.cols[terms],
+                                coefs=block.coefs[terms], lo=lo[keep], hi=hi[keep],
+                                names=_kept_names(block.names, np.flatnonzero(keep).tolist())))
+    return tuple(settled)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Coloring, ColoringError, Graph, verify_coloring
+from .lpsolve import seconds
 
 DEFAULT_CLIQUE_TIME_BUDGET = 60.0
 CLIQUE_TRIALS_PER_DENSITY = 300
@@ -389,7 +390,11 @@ def preprocess_pipeline(g: Graph, mode: str = "e", seed: int = 0,
     The anchor vertex is the clique member with the largest degree in the
     reduced graph (ties to the smallest id); it is the vertex the
     partial-ordering models pin to the largest used color.
+
+    `clique_time_budget` is read as the CLIs read it (`lpsolve.seconds`):
+    anything outside (0, MAX_TIME_LIMIT], nan too, raises TimeLimitError.
     """
+    clique_time_budget = seconds(clique_time_budget)
     reduced = remove_dominated(g)
     upper_bound, coloring = greedy_upper_bound(reduced.graph)
     clique = find_clique(reduced.graph, upper_bound, mode, seed, time_budget=clique_time_budget)

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, settings
 import chromatic
 from chromatic import bench
 from chromatic.backend import RawSolve, SolveStatus
-from chromatic.container import row_sense
+from chromatic.container import RowBlock, row_sense
 from chromatic.graph import Coloring
 from chromatic.models import (MilpModel, ModelError, build_formulation, check_feasible,
                               encode_coloring, objective_value)
@@ -54,11 +54,22 @@ def fixtures_dir(request):
     return pathlib.Path(__file__).parent / "fixtures"
 
 
+# a block of no row, standing in for the blocks of a model every row of which settles
+NO_ROWS = RowBlock("none", indptr=np.zeros(1, dtype=np.int64), cols=np.zeros(0, dtype=np.int64),
+                   coefs=np.zeros(0), lo=np.zeros(0), hi=np.zeros(0), names=list)
+
+
+def stacked_arrays(m: MilpModel) -> tuple[np.ndarray, ...]:
+    """All blocks end to end: row widths, columns, coefficients, lo, hi."""
+    parts = zip(*((np.diff(b.indptr), b.cols, b.coefs, b.lo, b.hi)
+                  for b in m.blocks or (NO_ROWS,)))
+    return tuple(np.concatenate(part) for part in parts)
+
+
 def stacked_rows(m: MilpModel) -> tuple[list, ...]:
     """All blocks end to end: row names, row widths, columns, coefficients, lo, hi."""
-    parts = zip(*((np.diff(b.indptr), b.cols, b.coefs, b.lo, b.hi) for b in m.blocks))
     return ([name for b in m.blocks for name in b.names()],
-            *(np.concatenate(part).tolist() for part in parts))
+            *(part.tolist() for part in stacked_arrays(m)))
 
 
 def row(m: MilpModel, name: str):

@@ -24,7 +24,7 @@ from chromatic.models import (FORMULATIONS, apply_clique_fixings,
                               build_formulation, build_pop, extract_coloring)
 from chromatic.oracle import chromatic_number_exact
 from chromatic.preprocess import preprocess_pipeline
-from conftest import NullAdapter, build_with_h_colors
+from conftest import NullAdapter, build_with_h_colors, stacked_arrays
 
 
 class TestParseSolutionDialects:
@@ -342,24 +342,24 @@ def _scipy_milp_layout(arrays: dict) -> dict:
 GOLDEN_MODEL_DIGESTS = {
     ('ass-s', False): ("afe69461dad7be8cb74f3b9ce53ab09d720ff6422c9e01b54f654a1b5cfea034",
                        "211dfd16fcf10b81a9e7eab556c84e634f67f5f0c91beb938b5e9923e5b5f0c5"),
-    ('ass-s', True): ("b6bf7ac53bdca898943f40c486a28b85e0e45f15d8c1976824862209d6a1df2a",
-                      "86c90a8fe2e7d80b9389c6bae8c4343f56965334b8d187a06abaad0ecba10bb9"),
+    ('ass-s', True): ("f68c9a0ed650e35720f3b6470ffc867284f000216cc6dc7421c4490e91913c2b",
+                      "915ec64fcc621003d6071cb3d87bedf00c2822b2402c26a15e990b3495bb9b75"),
     ('ass', False): ("af2b4e3cdd687874676221f592dda63a83514cc819c9c4763d80aa62f83ce569",
                      "1ffc0fd287197dc435bc96f95ff1e2625280ad974f387ca0ef4b47108974f7f4"),
-    ('ass', True): ("74d688e10708dba55aeb2459aaee95671944a64fc70312ee009056a76ad4d4ba",
-                    "f0468de19f6c3f3d7737ab50e5f00c354d1ee9ad80d65676208f35e65e3cea07"),
+    ('ass', True): ("98226947d79a9cec7169ac3d71b2b0789d8356cf6d1d367f4471b9a41893dedc",
+                    "0dc404405b2013e1532065e180f2925996bdc7f0f30eecf971f50823ab590485"),
     ('pop', False): ("893a8dda2564106e2fea3d9ecc13c00c121919de09a2c9adb4bd6a19d511877f",
                      "8910d52d782477dd849eedc1f953540e3eae6102cc530a13bba31a84d61f8704"),
-    ('pop', True): ("99d40175a71cf98430ea79259de6f7bd2a80682a7a0689f9225864fe68be1071",
-                    "e6e4900a08f0344ec96ae640bb3e5cf414406c58ec05706872117a673dac2c74"),
+    ('pop', True): ("4a6b7ed782be9982099135e28b72745da3043bb684132b2b550063924a0576a6",
+                    "28223689ffec4939da4f2d16a92f848cb85d3f79bad0bef56c3a48acc129f317"),
     ('pop2', False): ("1580ab59d5728555a26548597899800bd1005f7a686f79a6118340bd4cb3c73e",
                       "0b3e58c2861f62211f6d5611f8c5a42d7f361f75d2197716e3c7ba655fafb0a1"),
-    ('pop2', True): ("bee05b70145784a023da172151e1e38723f954ecf275f49c83572c81abbcc80f",
-                     "4aceccf1f3a5a6b9a8e613d736c9c88191ac599103a00e09e2da455c1aa852a2"),
+    ('pop2', True): ("dcc0b0ce10b63c8e911bb46e8673aac6f213d3a2a19a09aa203e62496ba23285",
+                     "e2f8dafa52080295fad48d8c9d685d0beddca58d7a6990d07955978afeb890ed"),
     ('rep', False): ("50ca16b28c95a42cecd0d64b0a920fb420dd33202ea7471a517c0ddd49090674",
                      "d4464a1dd13c04731ba3b48f768c2c1f4ee4f4b242c62c25bfa5a61cd7a79633"),
-    ('rep', True): ("d58f632cd4d8a94eee5337464a059f40c54cdc530d92325e541a1824c94fd1c1",
-                    "4065eb69724797f57fa4a2b67b85dff2bcaafa9225d04bd010de64b2b1aa2cd7"),
+    ('rep', True): ("f961429ce5ce89c389c1fde2315d95786b932a7803e574b60ca4d2a4a2865b6a",
+                    "c35a0e3c6fef2ff7cbe485d0ca87ff0a6d0346c905b256dc67f414b2ed853365"),
 }
 
 
@@ -385,10 +385,8 @@ class TestGoldenModelBytes:
         for position in range(len(GOLDEN_GRAPHS)):
             model = _golden_model(kind, fixed, position)
             got = _captured_milp_arrays(monkeypatch, model)
-            widths = np.concatenate([np.diff(block.indptr) for block in model.blocks])
+            widths, cols, coefs, _, _ = stacked_arrays(model)
             rows = np.repeat(np.arange(len(widths)), widths)
-            cols = np.concatenate([block.cols for block in model.blocks])
-            coefs = np.concatenate([block.coefs for block in model.blocks])
             expected = sparse.csc_array(sparse.csr_matrix(
                 (coefs, (rows, cols)), shape=(len(widths), len(model.variables))))
             for key in ("indptr", "indices", "data"):

@@ -1,11 +1,14 @@
 import itertools
+import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from chromatic import families
-from chromatic.backend import SolveStatus, solve
-from chromatic.graph import Graph, gnp_random, verify_coloring
+from chromatic import families, models
+from chromatic.backend import BuiltinAdapter, SolveStatus, builtin_subprocess_adapter, solve
+from chromatic.graph import Coloring, Graph, gnp_random, verify_coloring
 from chromatic.models import (FORMULATIONS, ExtractionError,
                               FixingConflictError, MilpModel, ModelError,
                               apply_clique_fixings, build_ass, build_ass_s,
@@ -16,7 +19,7 @@ from chromatic.models import (FORMULATIONS, ExtractionError,
 from chromatic.oracle import chromatic_number_exact
 from chromatic.preprocess import (PreprocessedInstance, greedy_upper_bound,
                                   preprocess_pipeline)
-from conftest import build_with_h_colors, family_rows, row
+from conftest import NullAdapter, build_with_h_colors, family_rows, row
 
 
 def instance_for(g: Graph, clique, anchor) -> PreprocessedInstance:
@@ -320,6 +323,94 @@ class TestCliqueFixings:
                 bare = build_with_h_colors(kind, inst)
                 fixed = apply_clique_fixings(bare, inst)
                 assert optimum(bare) == optimum(fixed) == chi
+
+
+def random_agreeing_coloring(model: MilpModel, rng: random.Random):
+    """A random proper coloring of the model's graph with its color bound
+    (its vertex count for `rep`) that agrees with the clique fixings: the
+    clique members but the anchor at 1..|Q|-1 in ascending order, the anchor
+    at |Q| (at |Q| or above in the partial-ordering family), the rest
+    greedily in random order. None if the greedy gets stuck."""
+    g, clique, anchor = model.graph, model.meta["clique"], model.meta["anchor"]
+    top = model.meta["upper_bound"] if model.kind != "rep" else g.n
+    colors = {u: k for k, u in enumerate(sorted(set(clique) - {anchor}), start=1)}
+    colors[anchor] = (rng.randint(len(clique), top) if model.kind in ("pop", "pop2")
+                      else len(clique))
+    rest = [v for v in range(g.n) if v not in colors]
+    rng.shuffle(rest)
+    for v in rest:
+        free = sorted(set(range(1, top + 1)) - {colors.get(u) for u in g.adjacency[v]})
+        if not free:
+            return None
+        colors[v] = rng.choice(free)
+    return Coloring(tuple(colors[v] for v in range(g.n)))
+
+
+class TestSettledRows:
+    """`apply_clique_fixings` takes the fixed columns out of its rows and drops
+    the rows the column bounds satisfy, without changing the feasible set."""
+
+    @staticmethod
+    def settled_and_whole(kind, inst):
+        """The clique-fixed models of `kind` for `inst`, one color below H
+        unless the instance is settled, and H-colored: each settled and with
+        the settling step left out."""
+        builds = [build_with_h_colors(kind, inst)]
+        if not inst.solved_in_preprocessing:
+            builds.append(build_formulation(kind, inst))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(models, "_settle_rows", lambda blocks, columns, bounds: blocks)
+            whole = [apply_clique_fixings(m, inst) for m in builds]
+        return [(apply_clique_fixings(m, inst), w) for m, w in zip(builds, whole)]
+
+    @pytest.mark.parametrize("kind", FORMULATIONS)
+    @given(st.integers(3, 7), st.sampled_from([0.3, 0.5, 0.7]), st.integers(0, 10_000))
+    def test_settling_keeps_the_feasible_points(self, kind, n, p, seed):
+        g = gnp_random(n, p, seed)
+        inst = preprocess_pipeline(g, seed=seed, clique_time_budget=1)
+        if kind in ("pop", "pop2") and inst.upper_bound < 2:
+            return
+        rng = random.Random(seed)
+        for settled, whole in self.settled_and_whole(kind, inst):
+            assert (settled.variables, settled.bounds, settled.fixings, settled.objective,
+                    settled.offset, settled.num_binary) == \
+                (whole.variables, whole.bounds, whole.fixings, whole.objective,
+                 whole.offset, whole.num_binary)
+            assert settled.num_rows <= whole.num_rows
+            colorings = [random_agreeing_coloring(settled, rng) for _ in range(3)]
+            if settled.meta["upper_bound"] != inst.upper_bound - 1:  # the H-colored model
+                oracle = chromatic_number_exact(settled.graph)
+                aligned = NullAdapter()._align(settled, oracle.witness, oracle.chi)
+                assert check_feasible(settled, encode_coloring(settled, aligned)) == []
+                colorings.append(aligned)
+            for coloring in filter(None, colorings):
+                point = encode_coloring(settled, coloring)
+                for flip in [None, *settled.variables]:
+                    values = dict(point)
+                    if flip is not None:
+                        values[flip] = 1 - values[flip]
+                    assert (not check_feasible(settled, values)) == \
+                        (not check_feasible(whole, values)), (coloring, flip)
+
+    def test_a_row_the_fixings_violate_is_named(self):
+        # vertex 1 is the anchor at color 2, so its neighbour 2 loses color 2,
+        # and the model already holds x_2_1 at 0: assign_2 reads 0 = 1
+        g = families.path(3)
+        inst = instance_for(g, clique=(0, 1), anchor=1)
+        model = replace(build_ass(g, 2), bounds={xv(2, 1): (0, 0)})
+        with pytest.raises(FixingConflictError, match="violate row assign_2$"):
+            apply_clique_fixings(model, inst)
+
+    @pytest.mark.parametrize("kind", ["pop", "rep"])
+    def test_a_model_with_every_row_settled_solves_on_both_routes(self, kind):
+        inst = preprocess_pipeline(families.complete(4), seed=1, clique_time_budget=1)
+        m = apply_clique_fixings(build_with_h_colors(kind, inst), inst)
+        assert m.blocks == () and len(m.fixings) == len(m.variables)
+        for adapter in (BuiltinAdapter(), builtin_subprocess_adapter()):
+            result = solve(m, adapter=adapter, time_limit=30)
+            assert result.status is SolveStatus.OPTIMAL, adapter
+            assert result.upper_bound == 4
+            assert result.values == m.fixings
 
 
 class TestOneColorBelowH:

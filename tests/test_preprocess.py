@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from chromatic import families, preprocess
 from chromatic.graph import (Coloring, ColoringError, Graph, boundary_edges, gnp_random,
                              verify_coloring)
+from chromatic.lpsolve import TimeLimitError
 from chromatic.oracle import chromatic_number_exact, _greedy_clique
 from chromatic.preprocess import (CLIQUE_BLOCK, SPLITMIX64_GAMMA, ReducedInstance, find_clique,
                                   greedy_upper_bound, preprocess_pipeline, remove_dominated,
@@ -446,6 +447,11 @@ class TestPipeline:
         assert inst.solved_in_preprocessing == (len(clique) == upper_bound)
         if not inst.solved_in_preprocessing:
             assert (inst.clique, inst.anchor) == (clique, anchor)
+
+    @pytest.mark.parametrize("budget", [math.nan, -1, 0, math.inf])
+    def test_clique_budget_is_read_as_the_clis_read_it(self, budget):
+        with pytest.raises(TimeLimitError):
+            preprocess_pipeline(gnp_random(60, 0.5, 1), clique_time_budget=budget)
 
     def test_anchor_in_clique(self):
         for seed in range(8):
