@@ -22,6 +22,7 @@ result carries no bounds and no values.
 """
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import os
@@ -273,18 +274,26 @@ def builtin_subprocess_adapter() -> CommandAdapter:
     """The bundled solver, but driven through the real subprocess path.
 
     The child runs `lpsolve.main` once under this interpreter, through
-    `python -c`, in the solve's temporary working directory, where a
-    relative PYTHONPATH entry no longer resolves. So the code first puts the
-    absolute root of this very package copy on `sys.path`; the child imports
-    the same code as the parent, installed or not.
+    `python -S -c`, in the solve's temporary working directory, where a
+    relative PYTHONPATH entry no longer resolves. `-S` skips `site` and the
+    `.pth` files it runs, so the child's `sys.path` holds no site-packages
+    of its own: the code first puts the absolute root of this very package
+    copy on `sys.path`, so the child imports the same code as the parent,
+    installed or not, and then appends the directory that holds the
+    parent's scipy, found without importing it. Without scipy nothing is
+    appended, and the child's `load_highs` reports the missing binding.
+    The environment, PYTHONPATH included, still applies.
     """
     package_root = str(Path(__file__).resolve().parents[1])
-    code = (f"import sys; sys.path.insert(0, {package_root!r}); import chromatic.lpsolve; "
-            "sys.exit(chromatic.lpsolve.main())")
+    scipy = importlib.util.find_spec("scipy")
+    append_scipy = (f"sys.path.append({str(Path(scipy.origin).parents[1])!r}); "
+                    if scipy is not None and scipy.origin else "")
+    code = (f"import sys; sys.path.insert(0, {package_root!r}); {append_scipy}"
+            "import chromatic.lpsolve; sys.exit(chromatic.lpsolve.main())")
     return CommandAdapter(
         executable=sys.executable,
         # the code is an argv template too: literal braces are doubled
-        args=("-c", code.replace("{", "{{").replace("}", "}}"), "{model}",
+        args=("-S", "-c", code.replace("{", "{{").replace("}", "}}"), "{model}",
               "--out", "{solout}", "--time-limit", "{timelimit}"),
         dialect="chromatic",
         name="builtin-sub",

@@ -130,10 +130,12 @@ def keep_preprocessing_bounds(result: SolveResult, inst: PreprocessedInstance) -
     `infeasible` proves chi = H, so lb = ub = H and the status is `optimal`.
     Any other outcome but `error` gets lb = max(min(solver lb, H), |Q|) and
     ub = min(solver ub, H), and is `optimal` once they meet; otherwise it
-    keeps the solver's status. The solver's lb bounds the model's optimum,
-    and chi = min(H, that optimum), so it counts up to H only: a bound of H
-    or more, as from a timed-out solve with no incumbent, makes the row
-    `optimal` at H. An `error` result is returned as it is.
+    keeps the solver's status, but a `timeout_no_solution` becomes
+    `feasible`: the row holds the H-coloring, with ub = H. The solver's lb
+    bounds the model's optimum, and chi = min(H, that optimum), so it counts
+    up to H only: a bound of H or more, as from a timed-out solve with no
+    incumbent, makes the row `optimal` at H. An `error` result is returned
+    as it is.
     """
     if result.status is SolveStatus.ERROR:
         return result
@@ -142,8 +144,13 @@ def keep_preprocessing_bounds(result: SolveResult, inst: PreprocessedInstance) -
         return replace(result, status=SolveStatus.OPTIMAL, lower_bound=H, upper_bound=H)
     lower = max(inst.lower_bound, min(result.lower_bound or 0, H))
     upper = H if result.upper_bound is None else min(result.upper_bound, H)
-    return replace(result, lower_bound=lower, upper_bound=upper,
-                   status=SolveStatus.OPTIMAL if lower == upper else result.status)
+    if lower == upper:
+        status = SolveStatus.OPTIMAL
+    elif result.status is SolveStatus.TIMEOUT_NO_SOLUTION:
+        status = SolveStatus.FEASIBLE
+    else:
+        status = result.status
+    return replace(result, lower_bound=lower, upper_bound=upper, status=status)
 
 
 def solve_instance(g: Graph, name: str, cfg: RunConfig,

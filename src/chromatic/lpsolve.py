@@ -29,10 +29,14 @@ from HiGHS to the CSV row. Two routes reach HiGHS, and one helper,
                order, so it may pick another optimal solution than in
                process.
 
-This module imports only the standard library when it loads; numpy is
-imported inside the in-process functions. So the child loads two modules
-of this package, the package `__init__`, whose public names bind on first
-use, and this one: no numpy, no LP parser, no builder.
+This module imports only the standard library when it loads, and of that
+neither `dataclasses` (which imports `inspect`) nor `typing`: the two
+result records are named tuples, and the names that only annotations use
+are imported under `TYPE_CHECKING`, which is never true at run time. numpy
+is imported inside the in-process functions. So the child, which runs
+under `python -S`, loads two modules of this package, the package
+`__init__`, whose public names bind on first use, and this one: no numpy,
+no LP parser, no builder, no `site`.
 
 HiGHS (Huangfu and Hall, Math. Prog. Comp. 10, 2018) comes with scipy, as
 the pybind11 module `scipy.optimize._highspy._core`. `load_highs` loads that
@@ -52,11 +56,13 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from typing import TYPE_CHECKING, Callable
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
+    from typing import Callable
+
     import numpy as np
 
     from .container import MilpModel
@@ -71,17 +77,16 @@ class SolveStatus(str, Enum):
     ERROR = "error"
 
 
-@dataclass(frozen=True)
-class RawSolve:
+class RawSolve(namedtuple("RawSolve", "status objective bound values log", defaults=("",))):
     """What a solver reports before normalization (no offset applied): the
     result of `solve_parsed`, or what `backend.parse_solution` reads from a
-    solver's output, where a missing status is None."""
+    solver's output, where a missing status is None.
 
-    status: SolveStatus | None
-    objective: float | None
-    bound: float | None
-    values: dict[str, float] | None
-    log: str = ""
+    status: SolveStatus | None, objective: float | None, bound: float | None,
+    values: dict[str, float] | None, log: str (default "")
+    """
+
+    __slots__ = ()
 
 
 HIGHS_MODULE = "scipy.optimize._highspy._core"
@@ -112,19 +117,18 @@ def load_highs():
     return module
 
 
-@dataclass(frozen=True)
-class HighsResult:
+class HighsResult(namedtuple("HighsResult", "status x fun message mip_node_count "
+                                            "mip_dual_bound mip_gap")):
     """What one HiGHS run reports. `x` and `fun` are None without an
     incumbent, the dual bound and gap also for a continuous model; an LP
-    counts 0 nodes."""
+    counts 0 nodes.
 
-    status: SolveStatus
-    x: list[float] | None
-    fun: float | None
-    message: str
-    mip_node_count: int
-    mip_dual_bound: float | None
+    status: SolveStatus, x: list[float] | None, fun: float | None,
+    message: str, mip_node_count: int, mip_dual_bound: float | None,
     mip_gap: float | None
+    """
+
+    __slots__ = ()
 
 
 def run_highs(load: Callable[[object, object], bool], time_limit: float) -> HighsResult:

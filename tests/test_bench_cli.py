@@ -157,7 +157,7 @@ class TestPreprocessingBounds:
             SolveStatus.TIMEOUT_NO_SOLUTION, None, None, None))
         for record in outcome.records:
             assert (record.lb, record.ub) == (2, 3)
-            assert record.status == "timeout_no_solution"
+            assert record.status == "feasible"
             assert record.coloring_source == "preprocessing"
             coloring = outcome.colorings[record.model]
             assert verify_coloring(self.C7, coloring).valid and coloring.num_colors == 3
@@ -174,8 +174,8 @@ class TestPreprocessingBounds:
     def test_timeout_with_an_incumbent_keeps_the_solvers_bound_and_coloring(self, monkeypatch):
         # with H stubbed to 4 the 3-color models are feasible; the solve
         # reports its optimum as an incumbent with no dual bound
-        outcome = self.run(monkeypatch, lambda raw: replace(
-            raw, status=SolveStatus.FEASIBLE, bound=None), upper_bound=4)
+        outcome = self.run(monkeypatch, lambda raw: raw._replace(
+            status=SolveStatus.FEASIBLE, bound=None), upper_bound=4)
         for record in outcome.records:
             assert (record.lb, record.ub, record.status) == (2, 3, "feasible")
             assert record.coloring_source == "solver"

@@ -1,9 +1,17 @@
 """No chromatic process imports scipy.optimize or scipy.sparse; the HiGHS
 binding loads only where HiGHS runs in-process; the `builtin-sub` child
-loads two modules of the package, no numpy and no process pool; no process
-imports numpy.random, which adds about 6 MB to it. Each case runs in a
-fresh interpreter."""
-from chromatic.lpsolve import HIGHS_MODULE
+loads two modules of the package, no numpy and no process pool, and,
+started as its adapter starts it, no `site`, `dataclasses` or `typing`; no
+process imports numpy.random, which adds about 6 MB to it. Each case runs
+in a fresh interpreter."""
+import ast
+import importlib.util
+import subprocess
+
+from chromatic import families
+from chromatic.backend import builtin_subprocess_adapter, solve
+from chromatic.lpsolve import HIGHS_MODULE, SolveStatus
+from chromatic.models import build_pop
 from conftest import fresh
 
 # which of the scipy packages are in sys.modules, as an expression
@@ -102,3 +110,37 @@ def test_binding_is_scipys_own_when_scipy_optimize_came_first():
         "print(json.dumps([outcome.status.value,\n"
         "                  lpsolve.load_highs() is scipy.optimize._highspy._core]))")
     assert (status, same) == ("optimal", True)
+
+
+def test_child_started_as_the_adapter_starts_it_loads_no_site_dataclasses_or_typing(tmp_path):
+    adapter = builtin_subprocess_adapter()
+    assert adapter.args[0] == "-S"
+    model, solution = tmp_path / "model.lp", tmp_path / "model.sol"
+    model.write_text("Minimize\n obj: x + y\nSubject To\n c1: x + y >= 1\nBinaries\n x y\nEnd\n")
+    argv = adapter.argv(model, 10.0, 0, solution)
+    # the same interpreter flags and sys.path set-up; main's result and the
+    # heavy modules are printed where the adapter's code exits with it
+    run_main = "sys.exit(chromatic.lpsolve.main())"
+    code = argv.index("-c") + 1
+    assert argv[code].endswith(run_main)
+    argv[code] = argv[code].removesuffix(run_main) + (
+        "print(chromatic.lpsolve.main(), [m for m in ('site', 'dataclasses', 'typing', "
+        "'inspect', 'numpy') if m in sys.modules])")
+    proc = subprocess.run(argv, capture_output=True, text=True, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "status optimal" in solution.read_text()
+    returned, loaded = proc.stdout.splitlines()[-1].split(" ", 1)
+    assert (returned, ast.literal_eval(loaded)) == ("0", [])
+
+
+def test_child_without_scipy_reports_the_missing_binding(monkeypatch):
+    real = importlib.util.find_spec
+    with monkeypatch.context() as patch:
+        patch.setattr(importlib.util, "find_spec",
+                      lambda name, *args: None if name == "scipy" else real(name, *args))
+        adapter = builtin_subprocess_adapter()
+    # the child then has no directory to import scipy from but its own
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    result = solve(build_pop(families.cycle(5), 3, anchor=0), adapter=adapter, time_limit=30)
+    assert result.status is SolveStatus.ERROR
+    assert "chromatic needs scipy>=1.15" in result.log

@@ -25,7 +25,7 @@ def outcomes(text: str, tmp_path):
     model.write_text(text)
     assert main([str(model), "--out", str(solution), "--time-limit", "10"]) == 0
     raw = parse_solution(solution.read_text(), "chromatic")
-    yield replace(raw, values=raw.values or None)  # as `CommandAdapter` reads it
+    yield raw._replace(values=raw.values or None)  # as `CommandAdapter` reads it
 
 
 def test_minimize_binary(tmp_path):
