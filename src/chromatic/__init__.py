@@ -3,8 +3,7 @@
 Five polynomial-size formulations of the vertex coloring problem (two
 assignment variants, two partial-ordering variants, the representatives
 model), a dominance/clique preprocessing pipeline, LP-file emission with
-pluggable solver adapters, an exact oracle for small graphs, and a
-benchmark CLI.
+pluggable solver adapters, and a benchmark CLI.
 
 Each public name is bound on first use from the module that defines it
 (PEP 562), so `import chromatic` loads no submodule and a process that
@@ -25,9 +24,8 @@ _EXPORTS = {
     "lp": ("emit_lp", "parse_lp"),
     "lpsolve": ("SolveStatus",),
     "models": ("ModelStats", "apply_clique_fixings", "build_ass", "build_ass_s",
-               "build_formulation", "build_pop", "build_pop2", "build_rep", "encode_coloring",
-               "extract_coloring", "model_stats"),
-    "oracle": ("OracleResult", "chromatic_number_exact", "is_k_colorable"),
+               "build_formulation", "build_pop", "build_pop2", "build_rep", "extract_coloring",
+               "model_stats"),
     "preprocess": ("PreprocessedInstance", "ReducedInstance", "find_clique",
                    "greedy_upper_bound", "preprocess_pipeline", "remove_dominated",
                    "restore_coloring"),

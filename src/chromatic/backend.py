@@ -368,7 +368,8 @@ def solve(model: MilpModel, adapter=None, time_limit: float = DEFAULT_TIME_LIMIT
         return adapter.solve_model(model, lp_path, time_limit, seed, directory)
 
     if workdir is not None:
-        directory = Path(workdir)
+        # absolute, since a CommandAdapter runs its child with cwd=directory
+        directory = Path(workdir).absolute()
         directory.mkdir(parents=True, exist_ok=True)
         raw = run(directory)
     elif isinstance(adapter, CommandAdapter):

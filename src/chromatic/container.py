@@ -9,8 +9,7 @@ Column j of a model is `variables[j]`. Its rows live in `RowBlock`s, one
 per constraint family (and, for `rep`, per vertex, to keep the textbook row
 order): integer column indices, coefficients and row bounds in
 compressed-row arrays, with the family tag. Row names (`edge_{u}_{v}_{i}`,
-...) are formatted only when asked for, by `emit_lp` and
-`models.check_feasible`.
+...) are formatted only when asked for, by `emit_lp`.
 """
 from __future__ import annotations
 

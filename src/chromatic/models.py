@@ -549,7 +549,7 @@ def _settle_rows(blocks: tuple[RowBlock, ...], columns: Mapping[str, int],
 
 
 # ---------------------------------------------------------------------------
-# solution decoding and encoding
+# solution decoding
 
 def binary_value(name: str, raw: float) -> int:
     """Round a solver value to 0 or 1 within VALUE_TOLERANCE, or raise
@@ -611,67 +611,7 @@ def extract_coloring(m: MilpModel, values: Mapping[str, float]) -> Coloring:
     return Coloring(tuple(colors))
 
 
-def encode_coloring(m: MilpModel, c: Coloring) -> dict[str, int]:
-    """Inverse of extract_coloring: variable values realizing a coloring.
-
-    The coloring must already agree with any fixings carried by the model
-    (clique members at their precolors, the anchor at the largest color).
-    For the representatives model each class is represented by its first
-    member in the model's vertex order: its clique member when it has one,
-    else its smallest id.
-    """
-    g = m.graph
-    colors = c.colors
-    if m.kind in ("ass-s", "ass"):
-        H = _color_bound(m)
-        bits = [1 if colors[v] == i else 0 for v in range(g.n) for i in range(1, H + 1)]
-        bits += [1 if i in set(colors) else 0 for i in range(1, H + 1)]
-    elif m.kind in ("pop", "pop2"):
-        H = _color_bound(m)
-        bits = [1 if colors[v] > i else 0 for v in range(g.n) for i in range(1, H)]
-        if m.kind == "pop2":
-            bits += [1 if colors[v] == i else 0 for v in range(g.n) for i in range(1, H + 1)]
-    elif m.kind == "rep":
-        order = _rep_order_of(m)
-        columns = _rep_columns(g, order)[0].tolist()
-        classes: dict[int, list[int]] = {}
-        for v in order:
-            classes.setdefault(colors[v], []).append(v)
-        bits = [0] * len(m.variables)
-        for rep, *members in classes.values():
-            bits[rep] = 1
-            for v in members:
-                if columns[rep][v] < 0:
-                    raise ModelError(f"coloring puts adjacent {rep} and {v} in one class")
-                bits[columns[rep][v]] = 1
-    else:
-        raise ModelError(f"unknown formulation {m.kind!r}")
-    values = dict(zip(m.variables, bits))
-    for name, fixed in m.fixings.items():
-        if values.get(name, 0) != fixed:
-            raise ModelError(f"coloring contradicts fixing {name}={fixed}")
-    return values
-
-
-def objective_value(m: MilpModel, values: Mapping[str, float], with_offset: bool = True) -> float:
+def objective_value(m: MilpModel, values: Mapping[str, float]) -> float:
     x = column_values(m, values)
     total = sum(coef * x[m.columns[name]] for name, coef in m.objective)
-    return total + (m.offset if with_offset else 0)
-
-
-def check_feasible(m: MilpModel, values: Mapping[str, float], tol: float = 1e-9) -> list[str]:
-    """Names of constraints (and column bounds) violated by a value assignment."""
-    x = np.array(column_values(m, values))
-    bad = []
-    for block in m.blocks:
-        rows = np.repeat(np.arange(len(block)), np.diff(block.indptr))
-        lhs = np.bincount(rows, weights=block.coefs * x[block.cols], minlength=len(block))
-        violated = np.where(block.lo == block.hi, np.abs(lhs - block.lo) > tol,
-                            (lhs > block.hi + tol) | (lhs < block.lo - tol))
-        if violated.any():
-            names = block.names()
-            bad.extend(names[r] for r in np.flatnonzero(violated).tolist())
-    for name, (lo, hi) in m.bounds.items():
-        if not lo - tol <= x[m.columns[name]] <= hi + tol:
-            bad.append(f"bound:{name}")
-    return bad
+    return total + m.offset

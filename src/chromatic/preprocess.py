@@ -151,8 +151,8 @@ class Saturation:
     `color[v]` is 0 while v is uncolored. `seen[v]` counts v's neighbours by
     color, so `len(seen[v])` is v's saturation (the number of distinct
     colors next to it) and `c in seen[v]` says whether c is taken next to v.
-    Coloring or uncoloring a vertex costs O(deg), so the DSATUR heuristic and
-    the oracle's backtracking search both keep saturation without recounting.
+    Coloring a vertex costs O(deg), so the DSATUR heuristic keeps saturation
+    without recounting.
     """
 
     def __init__(self, g: Graph):
@@ -166,15 +166,6 @@ class Saturation:
         for u in self.adjacency[v]:
             seen = self.seen[u]
             seen[c] = seen.get(c, 0) + 1
-
-    def unassign(self, v: int) -> None:
-        c, self.color[v] = self.color[v], 0
-        for u in self.adjacency[v]:
-            seen = self.seen[u]
-            if seen[c] == 1:
-                del seen[c]
-            else:
-                seen[c] -= 1
 
     def pick(self) -> int:
         """The uncolored vertex of largest saturation, then highest degree, then smallest id."""

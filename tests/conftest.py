@@ -15,9 +15,8 @@ from chromatic import bench
 from chromatic.backend import RawSolve, SolveStatus
 from chromatic.container import RowBlock, row_sense
 from chromatic.graph import Coloring
-from chromatic.models import (MilpModel, ModelError, build_formulation, check_feasible,
-                              encode_coloring, objective_value)
-from chromatic.oracle import chromatic_number_exact
+from chromatic.models import MilpModel, ModelError, build_formulation, objective_value
+from ground_truth import check_feasible, chromatic_number_exact, encode_coloring
 
 settings.register_profile(
     "suite",
@@ -129,7 +128,7 @@ class NullAdapter:
         violated = check_feasible(model, values)
         if violated:
             raise ModelError(f"oracle encoding violated {violated[:5]}")
-        raw_obj = objective_value(model, values, with_offset=False)
+        raw_obj = objective_value(model, values) - model.offset
         return RawSolve(SolveStatus.OPTIMAL, raw_obj, raw_obj, dict(values), log="oracle")
 
     def _align(self, model: MilpModel, witness: Coloring, chi: int) -> Coloring:

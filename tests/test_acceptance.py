@@ -18,13 +18,13 @@ from chromatic.graph import Graph, gnp_random, parse_dimacs, verify_coloring, wr
 from chromatic.lp import emit_lp
 from chromatic.models import (FORMULATIONS, apply_clique_fixings, build_ass,
                               build_ass_s, build_pop,
-                              build_pop2, build_rep, check_feasible,
+                              build_pop2, build_rep,
                               extract_coloring, objective_value,
                               wv, xv, yv)
-from chromatic.oracle import chromatic_number_exact
 from chromatic.preprocess import (greedy_upper_bound, preprocess_pipeline,
                                   restore_coloring)
 from conftest import build_with_h_colors, family_rows
+from ground_truth import check_feasible, chromatic_number_exact
 
 
 def _passed(line: str):

@@ -22,9 +22,9 @@ from chromatic.graph import Graph, gnp_random
 from chromatic.lp import emit_lp, parse_lp
 from chromatic.models import (FORMULATIONS, apply_clique_fixings,
                               build_formulation, build_pop, extract_coloring)
-from chromatic.oracle import chromatic_number_exact
 from chromatic.preprocess import preprocess_pipeline
 from conftest import NullAdapter, build_with_h_colors, stacked_arrays
+from ground_truth import chromatic_number_exact
 
 
 class TestParseSolutionDialects:
@@ -423,6 +423,14 @@ class TestSubprocessAdapter:
         result = solve(model, adapter=builtin_subprocess_adapter(), time_limit=60)
         assert result.status is SolveStatus.OPTIMAL, result.log
         assert result.upper_bound == 3, result.log
+
+    def test_relative_workdir_is_read_from_the_callers_directory(self, monkeypatch, tmp_path):
+        # the child runs with cwd=workdir, so a relative path must not resolve twice
+        monkeypatch.chdir(tmp_path)
+        result = solve(build_pop(families.cycle(5), 3, anchor=0),
+                       adapter=builtin_subprocess_adapter(), time_limit=60, workdir="rel-out/c5")
+        assert result.status is SolveStatus.OPTIMAL, result.log
+        assert (tmp_path / "rel-out" / "c5" / "model.lp").is_file()
 
     def test_solver_not_found(self):
         adapter = CommandAdapter(executable="/definitely/not/a/solver",

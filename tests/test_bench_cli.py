@@ -13,7 +13,7 @@ from chromatic.bench import (BenchmarkRecord, ManifestRow, RunConfig, generate_s
 from chromatic.graph import (Coloring, ColoringError, Graph, parse_dimacs, verify_coloring,
                              write_dimacs)
 from chromatic.models import ModelError
-from chromatic.oracle import chromatic_number_exact
+from ground_truth import chromatic_number_exact
 
 
 def run_cli(*argv) -> int:
@@ -315,6 +315,14 @@ class TestCliCommands:
         coloring = cli.parse_coloring(
             (tmp_path / "out" / "k2.pop2.coloring").read_text(), 2)
         assert coloring.num_colors == 2
+
+    def test_solve_through_the_solver_child_with_a_relative_out(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c5.col").write_text(write_dimacs(families.cycle(5)))
+        assert run_cli("solve", "c5.col", "--model", "pop", "--adapter", "builtin-sub",
+                       "--time-limit", "60", "--out", "out-rel") == 0
+        coloring = cli.parse_coloring((tmp_path / "out-rel" / "c5.pop.coloring").read_text(), 5)
+        assert verify_coloring(families.cycle(5), coloring).valid
 
     def test_solve_prints_the_error_of_a_failed_model(self, tmp_path, capsys, monkeypatch):
         def refuse(kind, inst):

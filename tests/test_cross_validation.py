@@ -9,7 +9,7 @@ import pytest
 
 from chromatic.bench import RunConfig, solve_instance
 from chromatic.graph import gnp_random
-from chromatic.oracle import chromatic_number_exact
+from ground_truth import chromatic_number_exact
 
 cvxpy = pytest.importorskip("cvxpy")
 

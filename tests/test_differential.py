@@ -18,9 +18,9 @@ from chromatic import families
 from chromatic.backend import SolveStatus, builtin_subprocess_adapter, solve
 from chromatic.graph import Graph, gnp_random, verify_coloring
 from chromatic.models import FORMULATIONS, apply_clique_fixings, build_formulation, extract_coloring
-from chromatic.oracle import chromatic_number_exact
 from chromatic.preprocess import greedy_upper_bound, preprocess_pipeline, restore_coloring
 from conftest import one_color_worse
+from ground_truth import chromatic_number_exact
 
 ALL_RUNS = [(kind, fixed) for kind in FORMULATIONS for fixed in (False, True)]
 

@@ -2,7 +2,7 @@ import pytest
 
 from chromatic import families
 from chromatic.graph import parse_dimacs, write_dimacs
-from chromatic.oracle import chromatic_number_exact, is_k_colorable
+from ground_truth import chromatic_number_exact, is_k_colorable
 
 # published sizes of the k-FullIns_l DIMACS COLOR instances
 PUBLISHED_FULLINS_SIZES = {

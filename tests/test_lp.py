@@ -11,9 +11,10 @@ from chromatic.graph import gnp_random
 from chromatic.lp import LpParseError, emit_lp, parse_lp
 from chromatic.models import (apply_clique_fixings, build_ass, build_ass_s,
                               build_pop, build_pop2,
-                              build_rep, check_feasible, model_stats)
+                              build_rep, model_stats)
 from chromatic.preprocess import greedy_upper_bound, preprocess_pipeline
 from conftest import build_with_h_colors, row, stacked_rows
+from ground_truth import check_feasible
 
 
 def random_model(seed: int):

@@ -13,13 +13,12 @@ from chromatic.models import (FORMULATIONS, ExtractionError,
                               FixingConflictError, MilpModel, ModelError,
                               apply_clique_fixings, build_ass, build_ass_s,
                               build_formulation, build_pop, build_pop2,
-                              build_rep, check_feasible, encode_coloring,
-                              extract_coloring, model_stats, objective_value,
+                              build_rep, extract_coloring, model_stats, objective_value,
                               rv, wv, xv, yv)
-from chromatic.oracle import chromatic_number_exact
 from chromatic.preprocess import (PreprocessedInstance, greedy_upper_bound,
                                   preprocess_pipeline)
 from conftest import NullAdapter, build_with_h_colors, family_rows, row
+from ground_truth import check_feasible, chromatic_number_exact, encode_coloring
 
 
 def instance_for(g: Graph, clique, anchor) -> PreprocessedInstance:

@@ -10,10 +10,10 @@ from chromatic import families, preprocess
 from chromatic.graph import (Coloring, ColoringError, Graph, boundary_edges, gnp_random,
                              verify_coloring)
 from chromatic.lpsolve import TimeLimitError
-from chromatic.oracle import chromatic_number_exact, _greedy_clique
 from chromatic.preprocess import (CLIQUE_BLOCK, SPLITMIX64_GAMMA, ReducedInstance, find_clique,
                                   greedy_upper_bound, preprocess_pipeline, remove_dominated,
                                   restore_coloring, splitmix64, tabucol)
+from ground_truth import chromatic_number_exact, _greedy_clique
 
 
 class TestRemoveDominated:

@@ -1,6 +1,8 @@
 """The package's public surface: `__all__` is exact, names bind on first use,
 and deleted names stay gone."""
 import importlib
+import importlib.util
+import inspect
 import pkgutil
 from dataclasses import fields
 
@@ -10,7 +12,8 @@ import chromatic
 from chromatic.backend import SolveResult
 from chromatic.bench import RunConfig
 from chromatic.graph import Graph
-from chromatic.models import MilpModel, RowBlock
+from chromatic.models import MilpModel, RowBlock, objective_value
+from chromatic.preprocess import Saturation
 from conftest import fresh
 
 MODULES = [chromatic] + [importlib.import_module(f"chromatic.{info.name}")
@@ -49,7 +52,9 @@ def test_container_class_is_one_object_under_every_name():
 
 
 @pytest.mark.parametrize("name", ["complement", "strip_time_columns", "Constraint",
-                                  "random_maximal_clique", "_grow_clique", "clique_objective"])
+                                  "random_maximal_clique", "_grow_clique", "clique_objective",
+                                  "OracleResult", "chromatic_number_exact", "is_k_colorable",
+                                  "encode_coloring", "check_feasible"])
 def test_deleted_name_is_not_importable(name):
     assert [module.__name__ for module in MODULES if hasattr(module, name)] == []
 
@@ -61,3 +66,9 @@ def test_deleted_members_are_gone():
     assert not hasattr(Graph, "non_edges")
     assert not hasattr(SolveResult, "solved")
     assert not hasattr(RunConfig, "desk_scale")
+    assert not hasattr(Saturation, "unassign")
+    assert "with_offset" not in inspect.signature(objective_value).parameters
+
+
+def test_the_test_only_oracle_module_is_gone():
+    assert importlib.util.find_spec("chromatic.oracle") is None

@@ -15,7 +15,7 @@ from pathlib import Path
 import chromatic
 
 PACKAGE = Path(chromatic.__file__).resolve().parent
-SOURCES = sorted(PACKAGE.parent.rglob("*.py"))
+SOURCES = sorted(PACKAGE.parent.rglob("*.py")) + [Path(__file__).with_name("ground_truth.py")]
 NEWER_REGEX = ("*+", "++", "?+", "(?>")
 
 
