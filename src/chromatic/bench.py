@@ -1,9 +1,11 @@
 """Benchmark harness: per-instance runs, random instance sets, CSV tables.
 
 A run of one instance preprocesses once, then answers each requested
-formulation. When the clique Q meets the upper bound H the instance is
-settled in preprocessing and no MILP is solved: every formulation gets
-lb = ub = H, status `optimal` and the preprocessing time as its `time`.
+formulation. When preprocessing's lower bound meets the upper bound H
+(the clique Q has H members, or, with H - 1 members, its colors propagate
+to a conflict) the instance is settled in preprocessing and no MILP is
+solved: every formulation gets lb = ub = H, status `optimal`, the
+preprocessing coloring and the preprocessing time as its `time`.
 Otherwise the formulation is built one color below H, given the clique
 fixings and solved, and its coloring is extracted; `keep_preprocessing_bounds`
 then reads the solve with what preprocessing proved. `infeasible` proves

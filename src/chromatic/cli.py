@@ -92,10 +92,13 @@ def cmd_solve(args) -> int:
     if inst is not None:
         removed = inst.reduced.original_n - inst.reduced.graph.n
         print(f"preprocessing: removed {removed} dominated vertices, "
-              f"clique size {inst.lower_bound}, upper bound {inst.upper_bound}, "
+              f"clique size {len(inst.clique)}, upper bound {inst.upper_bound}, "
               f"anchor vertex {inst.anchor + 1} (1-based), {outcome.prep_time:.2f}s")
         if inst.solved_in_preprocessing:
-            print("bounds met in preprocessing; no MILP solved")
+            how = ("clique meets the bound" if len(inst.clique) == inst.upper_bound
+                   else "the clique's colors propagate to a conflict: "
+                        f"no {inst.upper_bound - 1}-coloring")
+            print(f"bounds met in preprocessing ({how}); no MILP solved")
     for record in outcome.records:
         print("  {model:5s} lb={lb} ub={ub} time={time}s status={status}".format(**record.row()))
         if record.error:

@@ -378,12 +378,16 @@ def build_formulation(kind: str, inst: PreprocessedInstance) -> MilpModel:
     `pop2` get H - 1 colors, and `rep` gets one more row, `colors`:
     sum_v r_v_v <= H - 1. This is the one place the color bound is set, and
     `meta["upper_bound"]` records it (H - 1) for every kind. A settled
-    instance (clique of H vertices) has no such coloring, so it raises
-    ModelError.
+    instance has no such coloring, so it raises ModelError: either its
+    clique has H vertices, or, with H - 1 of them, the clique's colors
+    propagate to a conflict.
     """
     if inst.solved_in_preprocessing:
-        raise ModelError(f"instance is settled in preprocessing (clique of H = "
-                         f"{inst.upper_bound} vertices): it has no {inst.upper_bound - 1}-coloring")
+        H = inst.upper_bound
+        reason = (f"clique of H = {H} vertices" if len(inst.clique) == H
+                  else f"the colors of a clique of {H - 1} vertices propagate to a conflict")
+        raise ModelError(f"instance is settled in preprocessing ({reason}): "
+                         f"it has no {H - 1}-coloring")
     g = inst.reduced.graph
     colors = inst.upper_bound - 1
     if kind == "ass-s":

@@ -6,9 +6,11 @@ scored either by clique size or by the fixing-count objective
 |Q|*H + |delta(Q)|, grown in numpy a block of trials at a time on one
 counter-based SplitMix64 stream and stopped after the first block whose
 best clique reaches H, then a TabuCol descent that lowers the upper bound
-one color at a time towards |Q|, (d) early exit when the clique size meets
-the upper bound. A dominance restore stack maps any coloring of the reduced
-graph back to the original one without new colors.
+one color at a time towards |Q|, then, when one color separates them, the
+clique's colors propagated through the forced moves of DSATUR, which may
+prove chi = H or reach a |Q|-coloring, (d) early exit when the lower bound
+meets the upper bound. A dominance restore stack maps any coloring of the
+reduced graph back to the original one without new colors.
 """
 from __future__ import annotations
 
@@ -61,20 +63,18 @@ class ReducedInstance:
 class PreprocessedInstance:
     """Everything the model builders need. Vertex ids are reduced-graph ids.
 
-    `greedy_coloring` is the best coloring preprocessing found (DSATUR, then
-    TabuCol) and uses `upper_bound` colors. `lower_bound` and
-    `solved_in_preprocessing` are derived from `clique` and `upper_bound`.
+    `greedy_coloring` is the best coloring preprocessing found (DSATUR,
+    TabuCol, then the clique's propagated colors) and uses `upper_bound`
+    colors. `lower_bound` is |Q|, or H when the clique's colors propagate
+    to a conflict; `solved_in_preprocessing` says the two bounds meet.
     """
 
     reduced: ReducedInstance
+    lower_bound: int
     upper_bound: int
     greedy_coloring: Coloring
     clique: tuple[int, ...]
     anchor: int
-
-    @property
-    def lower_bound(self) -> int:
-        return len(self.clique)
 
     @property
     def solved_in_preprocessing(self) -> bool:
@@ -256,6 +256,42 @@ def tabucol(g: Graph, start: Coloring, k: int, rng: random.Random) -> Coloring |
     return None if conflicts else Coloring(tuple(color))
 
 
+def propagate_clique_colors(g: Graph, clique, k: int) -> list[int] | None:
+    """Color clique member i with color i (1-based) and follow the forced moves.
+
+    Every other vertex's domain is the set of colors 1..k that no colored
+    neighbour holds. A vertex with one color left takes it, which removes
+    that color from its neighbours' domains, until no domain has exactly
+    one color left: unit propagation on the assignment model, whose outcome
+    does not depend on the order of the moves. Returns None when some
+    domain empties, which proves g has no k-coloring that extends the
+    clique's, and by color symmetry no k-coloring at all when |Q| = k.
+    Otherwise returns each vertex's color, 0 where none was forced; with no
+    0 it is a proper k-coloring.
+    """
+    if len(clique) > k:
+        return None
+    adjacency = g.adjacency
+    color = [0] * g.n
+    domain = [(1 << k) - 1] * g.n  # bit c - 1 set while color c is free
+    for c, v in enumerate(clique, start=1):
+        domain[v] = 1 << (c - 1)
+    queue = [v for v in range(g.n) if not domain[v] & (domain[v] - 1)]
+    while queue:
+        v = queue.pop()
+        color[v] = c = domain[v].bit_length()
+        taken = ~(1 << (c - 1))
+        for u in adjacency[v]:
+            if color[u]:
+                continue
+            before, domain[u] = domain[u], domain[u] & taken
+            if not domain[u]:
+                return None
+            if domain[u] != before and not domain[u] & (domain[u] - 1):
+                queue.append(u)
+    return color
+
+
 def _check_clique(g: Graph, clique) -> None:
     members = tuple(clique)
     for i, u in enumerate(members):
@@ -366,7 +402,7 @@ def find_clique(g: Graph, upper_bound: int, mode: str, seed: int,
 
 def preprocess_pipeline(g: Graph, mode: str = "e", seed: int = 0,
                         clique_time_budget: float = DEFAULT_CLIQUE_TIME_BUDGET) -> PreprocessedInstance:
-    """Full reduction: dominance removal, upper bound, clique search, early exit.
+    """Full reduction: dominance removal, bounds, clique search, early exit.
 
     The DSATUR bound H scores the clique search, which stops after the first
     block of trials whose best clique has H members: no clique can be
@@ -376,7 +412,10 @@ def preprocess_pipeline(g: Graph, mode: str = "e", seed: int = 0,
     down to the clique size, each from the best coloring so far, on the
     stream `random.Random(f"tabucol:{seed}")`, and stops at the first k it
     cannot reach; `upper_bound` and `greedy_coloring` are the best coloring
-    found.
+    found. When that leaves |Q| = H - 1, `propagate_clique_colors` runs
+    with k = |Q| colors: a conflict proves chi = H, so `lower_bound` is H,
+    and a complete coloring becomes `greedy_coloring`, with `upper_bound`
+    |Q|. Otherwise `lower_bound` is |Q|.
 
     The anchor vertex is the clique member with the largest degree in the
     reduced graph (ties to the smallest id); it is the vertex the
@@ -395,6 +434,14 @@ def preprocess_pipeline(g: Graph, mode: str = "e", seed: int = 0,
         if fewer is None:
             break
         upper_bound, coloring = fewer.num_colors, fewer
+    lower_bound = len(clique)
+    if upper_bound == lower_bound + 1:
+        forced = propagate_clique_colors(reduced.graph, clique, lower_bound)
+        if forced is None:
+            lower_bound = upper_bound
+        elif all(forced):
+            upper_bound, coloring = lower_bound, Coloring(tuple(forced))
     anchor = max(clique, key=lambda v: (reduced.graph.degree(v), -v))
-    return PreprocessedInstance(reduced=reduced, upper_bound=upper_bound,
-                                greedy_coloring=coloring, clique=clique, anchor=anchor)
+    return PreprocessedInstance(reduced=reduced, lower_bound=lower_bound,
+                                upper_bound=upper_bound, greedy_coloring=coloring,
+                                clique=clique, anchor=anchor)

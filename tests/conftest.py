@@ -1,5 +1,6 @@
-"""Shared Hypothesis profile, fixtures directory, row readers, the model with H
-colors, NullAdapter double and fresh-interpreter runner."""
+"""Shared Hypothesis profile, fixtures directory, row readers, the instance with
+its clique bound only, the model with H colors, NullAdapter double and
+fresh-interpreter runner."""
 import json
 import subprocess
 import sys
@@ -81,6 +82,24 @@ def row(m: MilpModel, name: str):
 
 def family_rows(m: MilpModel, family: str) -> int:
     return sum(len(b) for b in m.blocks if b.family == family)
+
+
+def clique_bound_only(inst):
+    """`inst` with the clique's bound |Q| as its lower bound, the bound it had
+    before `preprocess_pipeline` propagated the clique's colors. A graph those
+    colors settle at H then still builds its models one color below H, so a
+    test of a formulation or a solver route keeps its graph."""
+    return replace(inst, lower_bound=len(inst.clique))
+
+
+@pytest.fixture
+def clique_bound_pipeline(monkeypatch):
+    """Let `bench` preprocess with the clique's bound only (`clique_bound_only`),
+    so that a graph whose clique colors propagate to a conflict still reaches
+    the solver."""
+    real = bench.preprocess_pipeline
+    monkeypatch.setattr(bench, "preprocess_pipeline",
+                        lambda g, **kw: clique_bound_only(real(g, **kw)))
 
 
 def one_color_worse(inst):

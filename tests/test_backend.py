@@ -23,7 +23,7 @@ from chromatic.lp import emit_lp, parse_lp
 from chromatic.models import (FORMULATIONS, apply_clique_fixings,
                               build_formulation, build_pop, extract_coloring)
 from chromatic.preprocess import preprocess_pipeline
-from conftest import NullAdapter, build_with_h_colors, stacked_arrays
+from conftest import NullAdapter, build_with_h_colors, clique_bound_only, stacked_arrays
 from ground_truth import chromatic_number_exact
 
 
@@ -293,10 +293,11 @@ GOLDEN_GRAPHS = ROUTE_GRAPHS + [gnp_random(48, 0.9, seed=1)]  # reduces to 47 ve
 
 @functools.lru_cache(maxsize=None)
 def _golden_model(kind: str, fixed: bool, position: int):
-    """The model the program builds for the golden graph, H - 1 colors; for
-    a graph that settles in preprocessing, which gets none, the one with H
-    colors."""
-    inst = preprocess_pipeline(GOLDEN_GRAPHS[position], seed=1, clique_time_budget=60)
+    """The model the program builds for the golden graph from its clique
+    bound alone, H - 1 colors; for a graph whose clique meets H, which gets
+    none, the one with H colors."""
+    inst = clique_bound_only(preprocess_pipeline(GOLDEN_GRAPHS[position], seed=1,
+                                                 clique_time_budget=60))
     model = (build_with_h_colors(kind, inst) if inst.solved_in_preprocessing
              else build_formulation(kind, inst))
     return apply_clique_fixings(model, inst) if fixed else model

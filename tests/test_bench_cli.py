@@ -13,6 +13,7 @@ from chromatic.bench import (BenchmarkRecord, ManifestRow, RunConfig, generate_s
 from chromatic.graph import (Coloring, ColoringError, Graph, parse_dimacs, verify_coloring,
                              write_dimacs)
 from chromatic.models import ModelError
+from chromatic.preprocess import restore_coloring
 from ground_truth import chromatic_number_exact
 
 
@@ -77,6 +78,23 @@ class TestSolveInstance:
         assert all(r.error == "ValueError: greedy_upper_bound needs at least one vertex"
                    and r.prep_time == outcome.prep_time for r in outcome.records)
 
+    def test_clique_colors_that_propagate_to_a_conflict_settle_without_a_model(self, tmp_path):
+        g = families.cycle(5)
+        outcome = solve_instance(g, "c5", RunConfig(models=("pop2", "rep"),
+                                                    clique_time_budget=0.5),
+                                 lp_dir=tmp_path / "lp")
+        inst = outcome.preprocessed
+        assert (len(inst.clique), inst.lower_bound, inst.upper_bound) == (2, 3, 3)
+        lifted = restore_coloring(inst.reduced, inst.greedy_coloring)
+        for record in outcome.records:
+            assert (record.lb, record.ub, record.status) == (3, 3, "optimal")
+            assert record.coloring_source == "preprocessing"
+            assert record.time == outcome.prep_time
+            assert outcome.colorings[record.model] == lifted
+        assert verify_coloring(g, lifted).valid and lifted.num_colors == 3
+        assert not (tmp_path / "lp").exists()
+
+    @pytest.mark.usefixtures("clique_bound_pipeline")
     def test_full_solve_path(self):
         g = families.cycle(5)
         outcome = solve_instance(g, "c5", RunConfig(models=("pop2",),
@@ -94,11 +112,11 @@ class TestSolveInstance:
         record = outcome.records[0]
         assert (record.lb, record.ub) == (5, 5)
 
-    @pytest.mark.usefixtures("null_adapter")
+    @pytest.mark.usefixtures("null_adapter", "clique_bound_pipeline")
     def test_error_row_keeps_running(self):
-        # an odd cycle neither reduces nor settles in preprocessing, and 17
-        # vertices exceed the null adapter's cap: each model run becomes an
-        # error row instead of an exception
+        # an odd cycle does not reduce, its clique bound alone does not settle
+        # it, and 17 vertices exceed the null adapter's cap: each model run
+        # becomes an error row instead of an exception
         g = families.cycle(17)
         outcome = solve_instance(g, "big", RunConfig(models=("rep", "pop2"),
                                                      adapter="null",
@@ -112,8 +130,10 @@ class TestSolveInstance:
             "ValueError: null adapter handles at most 16 vertices, got 17"] * 2
 
 
+@pytest.mark.usefixtures("clique_bound_pipeline")
 class TestPreprocessingBounds:
-    """A row reads its solve, one color below H, with what preprocessing proved."""
+    """A row reads its solve, one color below H, with what preprocessing proved
+    from the clique alone."""
 
     C7 = families.cycle(7)  # clique 2, H = chi = 3: the 2-color models are infeasible
 
@@ -309,13 +329,27 @@ class TestCliCommands:
                        "--clique-budget", "5", "--out", str(tmp_path / "out"))
         assert code == 0
         printed = capsys.readouterr().out
-        assert "bounds met in preprocessing" in printed
+        assert "bounds met in preprocessing (clique meets the bound)" in printed
         csv_text = (tmp_path / "out" / "k2.csv").read_text()
         assert "optimal" in csv_text
         coloring = cli.parse_coloring(
             (tmp_path / "out" / "k2.pop2.coloring").read_text(), 2)
         assert coloring.num_colors == 2
 
+    def test_solve_says_how_propagation_settles_and_writes_no_model(self, tmp_path, capsys):
+        instance = tmp_path / "c5.col"
+        instance.write_text(write_dimacs(families.cycle(5)))
+        assert run_cli("solve", str(instance), "--clique-budget", "5",
+                       "--out", str(tmp_path / "out")) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert "clique size 2, upper bound 3," in printed[1]
+        assert printed[2] == ("bounds met in preprocessing (the clique's colors propagate "
+                              "to a conflict: no 2-coloring); no MILP solved")
+        coloring = cli.parse_coloring((tmp_path / "out" / "c5.pop2.coloring").read_text(), 5)
+        assert verify_coloring(families.cycle(5), coloring).colors_used == 3
+        assert not (tmp_path / "out" / "lp").exists()
+
+    @pytest.mark.usefixtures("clique_bound_pipeline")
     def test_solve_through_the_solver_child_with_a_relative_out(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "c5.col").write_text(write_dimacs(families.cycle(5)))
@@ -324,6 +358,7 @@ class TestCliCommands:
         coloring = cli.parse_coloring((tmp_path / "out-rel" / "c5.pop.coloring").read_text(), 5)
         assert verify_coloring(families.cycle(5), coloring).valid
 
+    @pytest.mark.usefixtures("clique_bound_pipeline")
     def test_solve_prints_the_error_of_a_failed_model(self, tmp_path, capsys, monkeypatch):
         def refuse(kind, inst):
             raise ModelError(f"no {kind} today")
@@ -342,6 +377,7 @@ class TestCliCommands:
         csv_text = (tmp_path / "out" / "c5.csv").read_text()
         assert ",error:ModelError," in csv_text and "today" not in csv_text
 
+    @pytest.mark.usefixtures("clique_bound_pipeline")
     def test_bench_prints_the_error_of_each_failed_row(self, tmp_path, capsys, monkeypatch):
         real = bench.build_formulation
 

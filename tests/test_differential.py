@@ -19,7 +19,7 @@ from chromatic.backend import SolveStatus, builtin_subprocess_adapter, solve
 from chromatic.graph import Graph, gnp_random, verify_coloring
 from chromatic.models import FORMULATIONS, apply_clique_fixings, build_formulation, extract_coloring
 from chromatic.preprocess import greedy_upper_bound, preprocess_pipeline, restore_coloring
-from conftest import one_color_worse
+from conftest import clique_bound_only, one_color_worse
 from ground_truth import chromatic_number_exact
 
 ALL_RUNS = [(kind, fixed) for kind in FORMULATIONS for fixed in (False, True)]
@@ -107,6 +107,6 @@ def test_subprocess_route_agrees_with_the_oracle(seed, runs):
                          ids=["builtin", "builtin-sub"])
 def test_chi_equal_to_h_is_proved_infeasible_on_both_routes(adapter):
     g = families.cycle(5)
-    inst = preprocess_pipeline(g, seed=0, clique_time_budget=5)
+    inst = clique_bound_only(preprocess_pipeline(g, seed=0, clique_time_budget=5))
     assert (len(inst.clique), inst.upper_bound) == (2, 3)
     assert optima(g, ALL_RUNS, adapter=adapter, inst=inst) == dict.fromkeys(ALL_RUNS, 3)

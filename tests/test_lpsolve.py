@@ -14,6 +14,7 @@ from chromatic.lpsolve import (SolveStatus, main, render_solution, rows_by_colum
                                solve_parsed)
 from chromatic.models import FORMULATIONS, apply_clique_fixings, build_formulation
 from chromatic.preprocess import preprocess_pipeline
+from conftest import clique_bound_only
 
 
 def outcomes(text: str, tmp_path):
@@ -244,10 +245,12 @@ def mycielski(g: Graph) -> Graph:
 
 
 def reader_models(kind: str):
-    """`kind` on a cycle, on myciel3 and, reduced and with clique fixings, on a G(n, 0.5)."""
-    yield build_formulation(kind, preprocess_pipeline(families.cycle(7), seed=1))
-    yield build_formulation(kind, preprocess_pipeline(mycielski(families.cycle(5)), seed=1))
-    inst = preprocess_pipeline(gnp_random(14, 0.5, seed=4), seed=1, clique_time_budget=5)
+    """`kind` on a cycle, on myciel3 and, reduced and with clique fixings, on a
+    G(n, 0.5), each built from its clique bound alone."""
+    for g in (families.cycle(7), mycielski(families.cycle(5))):
+        yield build_formulation(kind, clique_bound_only(preprocess_pipeline(g, seed=1)))
+    inst = clique_bound_only(preprocess_pipeline(gnp_random(14, 0.5, seed=4), seed=1,
+                                                 clique_time_budget=5))
     assert inst.reduced.graph.n < 14
     yield apply_clique_fixings(build_formulation(kind, inst), inst)
 

@@ -17,7 +17,7 @@ from chromatic.models import (FORMULATIONS, ExtractionError,
                               rv, wv, xv, yv)
 from chromatic.preprocess import (PreprocessedInstance, greedy_upper_bound,
                                   preprocess_pipeline)
-from conftest import NullAdapter, build_with_h_colors, family_rows, row
+from conftest import NullAdapter, build_with_h_colors, clique_bound_only, family_rows, row
 from ground_truth import check_feasible, chromatic_number_exact, encode_coloring
 
 
@@ -25,7 +25,7 @@ def instance_for(g: Graph, clique, anchor) -> PreprocessedInstance:
     """Hand-built preprocessing result: no reduction, prescribed clique."""
     upper, greedy = greedy_upper_bound(g)
     return PreprocessedInstance(
-        reduced=remove_dominated_identity(g), upper_bound=upper,
+        reduced=remove_dominated_identity(g), lower_bound=len(clique), upper_bound=upper,
         greedy_coloring=greedy, clique=tuple(sorted(clique)), anchor=anchor)
 
 
@@ -416,7 +416,8 @@ class TestOneColorBelowH:
     """`build_formulation` asks for an (H - 1)-coloring of a preprocessed instance."""
 
     def test_every_model_has_h_minus_one_colors(self):
-        inst = preprocess_pipeline(families.cycle(7), seed=0, clique_time_budget=0.5)
+        inst = clique_bound_only(preprocess_pipeline(families.cycle(7), seed=0,
+                                                     clique_time_budget=0.5))
         assert (len(inst.clique), inst.upper_bound) == (2, 3)
         models = {kind: build_formulation(kind, inst) for kind in FORMULATIONS}
         assert {m.meta["upper_bound"] for m in models.values()} == {2}
@@ -439,6 +440,16 @@ class TestOneColorBelowH:
         for kind in FORMULATIONS:
             with pytest.raises(ModelError, match="settled in preprocessing"):
                 build_formulation(kind, inst)
+
+    def test_the_error_names_how_the_instance_settled(self):
+        by_clique = preprocess_pipeline(families.complete(4), seed=0, clique_time_budget=0.5)
+        with pytest.raises(ModelError, match=r"\(clique of H = 4 vertices\): it has no "
+                                             "3-coloring"):
+            build_formulation("pop2", by_clique)
+        by_propagation = preprocess_pipeline(families.cycle(7), seed=0, clique_time_budget=0.5)
+        with pytest.raises(ModelError, match=r"\(the colors of a clique of 2 vertices "
+                                             r"propagate to a conflict\): it has no 2-coloring"):
+            build_formulation("pop2", by_propagation)
 
 
 class TestExtractColoring:

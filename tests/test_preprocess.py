@@ -11,8 +11,9 @@ from chromatic.graph import (Coloring, ColoringError, Graph, boundary_edges, gnp
                              verify_coloring)
 from chromatic.lpsolve import TimeLimitError
 from chromatic.preprocess import (CLIQUE_BLOCK, SPLITMIX64_GAMMA, ReducedInstance, find_clique,
-                                  greedy_upper_bound, preprocess_pipeline, remove_dominated,
-                                  restore_coloring, splitmix64, tabucol)
+                                  greedy_upper_bound, preprocess_pipeline,
+                                  propagate_clique_colors, remove_dominated, restore_coloring,
+                                  splitmix64, tabucol)
 from ground_truth import chromatic_number_exact, _greedy_clique
 
 
@@ -386,9 +387,29 @@ class TestCliqueStreams:
         assert len(set(grown_trials)) == planned_trials(inst.reduced.graph) > CLIQUE_BLOCK
 
 
+def reference_propagation(g, clique, k):
+    """The clique's colors and their forced moves, found by sweeping the
+    vertices in id order until a sweep forces none: None at an empty
+    domain, else each vertex's color, 0 where none was forced."""
+    color = dict(zip(clique, range(1, k + 1)))
+    forced = True
+    while forced:
+        forced = False
+        for v in range(g.n):
+            if v in color:
+                continue
+            free = set(range(1, k + 1)) - {color.get(u) for u in g.adjacency[v]}
+            if not free:
+                return None
+            if len(free) == 1:
+                color[v], forced = free.pop(), True
+    return [color.get(v, 0) for v in range(g.n)]
+
+
 def reference_pipeline(g, mode, seed):
     """The pipeline written out with no early stop: the clique search runs
-    every planned trial, then TabuCol descends from H, floored at |Q|."""
+    every planned trial, TabuCol descends from H, floored at |Q|, and at
+    |Q| = H - 1 the clique's colors propagate."""
     reduced = remove_dominated(g)
     upper_bound, coloring = greedy_upper_bound(reduced.graph)
     clique = reference_find_clique(reduced.graph, upper_bound, mode, seed,
@@ -399,8 +420,15 @@ def reference_pipeline(g, mode, seed):
         if fewer is None:
             break
         upper_bound, coloring = fewer.num_colors, fewer
+    lower_bound = len(clique)
+    if upper_bound == lower_bound + 1:
+        forced = reference_propagation(reduced.graph, clique, lower_bound)
+        if forced is None:
+            lower_bound = upper_bound
+        elif all(forced):
+            upper_bound, coloring = lower_bound, Coloring(tuple(forced))
     anchor = max(clique, key=lambda v: (reduced.graph.degree(v), -v))
-    return clique, anchor, upper_bound, coloring
+    return clique, anchor, lower_bound, upper_bound, coloring
 
 
 class TestPipeline:
@@ -409,11 +437,13 @@ class TestPipeline:
         assert inst.lower_bound == inst.upper_bound == 6
         assert inst.solved_in_preprocessing
 
-    def test_odd_cycle_not_solved(self):
+    def test_odd_cycle_settled_by_propagation(self):
+        # the clique is an edge; its two colors force the path around to a conflict
         inst = preprocess_pipeline(families.cycle(5), clique_time_budget=1)
-        assert inst.lower_bound == 2
+        assert len(inst.clique) == 2
+        assert inst.lower_bound == 3
         assert inst.upper_bound == 3
-        assert not inst.solved_in_preprocessing
+        assert inst.solved_in_preprocessing
 
     def test_bipartite_solved(self):
         inst = preprocess_pipeline(families.complete_bipartite(3, 3), clique_time_budget=1)
@@ -441,10 +471,11 @@ class TestPipeline:
     @settings(max_examples=30)
     @given(small_graphs(max_n=12), st.integers(0, 10_000), st.sampled_from("ce"))
     def test_matches_the_full_search(self, g, seed, mode):
-        clique, anchor, upper_bound, coloring = reference_pipeline(g, mode, seed)
+        clique, anchor, lower_bound, upper_bound, coloring = reference_pipeline(g, mode, seed)
         inst = preprocess_pipeline(g, mode=mode, seed=seed)
         assert (inst.upper_bound, inst.greedy_coloring) == (upper_bound, coloring)
-        assert inst.solved_in_preprocessing == (len(clique) == upper_bound)
+        assert inst.lower_bound == lower_bound
+        assert inst.solved_in_preprocessing == (lower_bound == upper_bound)
         if not inst.solved_in_preprocessing:
             assert (inst.clique, inst.anchor) == (clique, anchor)
 
@@ -460,6 +491,69 @@ class TestPipeline:
             assert inst.anchor in inst.clique
             degree = inst.reduced.graph.degree
             assert all(degree(inst.anchor) >= degree(v) for v in inst.clique)
+
+
+def queen(k: int) -> Graph:
+    """The DIMACS `queen<k>_<k>` graph: squares of a k x k board, row-major,
+    adjacent when a queen on one attacks the other."""
+    cells = [(r, c) for r in range(k) for c in range(k)]
+    return Graph.from_edges(k * k, [
+        (a, b) for a, (r1, c1) in enumerate(cells) for b, (r2, c2) in enumerate(cells)
+        if a < b and (r1 == r2 or c1 == c2 or abs(r1 - r2) == abs(c1 - c2))])
+
+
+class TestPropagateCliqueColors:
+    def test_odd_cycle_ends_in_a_conflict(self):
+        assert propagate_clique_colors(families.cycle(5), (0, 1), 2) is None
+
+    def test_squared_path_is_forced_completely(self):
+        # i ~ i + 1 and i + 2: the triangle (0, 1, 2) forces vertex i to color i mod 3 + 1
+        g = Graph.from_edges(7, [(i, j) for i in range(7) for j in (i + 1, i + 2) if j < 7])
+        colors = propagate_clique_colors(g, (0, 1, 2), 3)
+        assert colors == [i % 3 + 1 for i in range(7)]
+        assert verify_coloring(g, Coloring(tuple(colors))).valid
+
+    def test_queen6_6_forces_nothing(self):
+        inst = preprocess_pipeline(queen(6), seed=0)
+        assert (len(inst.clique), inst.lower_bound, inst.upper_bound) == (6, 6, 7)
+        assert not inst.solved_in_preprocessing
+        colors = propagate_clique_colors(inst.reduced.graph, inst.clique, 6)
+        assert colors == [inst.clique.index(v) + 1 if v in inst.clique else 0
+                          for v in range(36)]
+
+    def test_a_clique_larger_than_k_is_a_conflict(self):
+        assert propagate_clique_colors(families.complete(3), (0, 1, 2), 2) is None
+
+    def test_a_complete_propagation_becomes_the_pipelines_coloring(self, monkeypatch):
+        # with TabuCol failing, DSATUR's bound stays |Q| + 1 = 4, and the
+        # colors of the triangle force every other vertex
+        monkeypatch.setattr(preprocess, "tabucol", lambda *args: None)
+        g = gnp_random(10, 0.3, 20)
+        inst = preprocess_pipeline(g, seed=0)
+        assert greedy_upper_bound(inst.reduced.graph)[0] == 4
+        assert (len(inst.clique), inst.lower_bound, inst.upper_bound) == (3, 3, 3)
+        forced = propagate_clique_colors(inst.reduced.graph, inst.clique, 3)
+        assert inst.greedy_coloring == Coloring(tuple(forced))
+        report = verify_coloring(g, restore_coloring(inst.reduced, inst.greedy_coloring))
+        assert report.valid and report.colors_used == 3
+
+    @settings(max_examples=60)
+    @given(st.integers(6, 14), st.sampled_from([0.2, 0.35, 0.5, 0.65, 0.8]),
+           st.integers(0, 10_000))
+    def test_verdicts_agree_with_the_exact_oracle(self, n, p, seed):
+        # with |Q| = H - 1 colors, a conflict must mean chi = H, and a
+        # complete coloring chi = H - 1
+        g = gnp_random(n, p, seed)
+        reduced = remove_dominated(g).graph
+        clique = find_clique(reduced, greedy_upper_bound(reduced)[0], "e", seed)
+        colors = propagate_clique_colors(reduced, clique, len(clique))
+        assert colors == reference_propagation(reduced, clique, len(clique))
+        chi = chromatic_number_exact(g).chi
+        if colors is None:
+            assert chi > len(clique)
+        elif all(colors):
+            report = verify_coloring(reduced, Coloring(tuple(colors)))
+            assert chi == len(clique) == report.colors_used and report.valid
 
 
 # Cliques and pipeline results pinned on the draw contract of `find_clique`
@@ -482,7 +576,7 @@ GOLDEN_CLIQUES = {
     "gnp40_0.5_s1": ((7, 14, 16, 21, 23, 27, 38), (1, 7, 16, 27, 29, 34, 38),
                      ((1, 7, 16, 27, 29, 34, 38), 16, 7, 9)),
     "gnp35_0.5_s2": ((1, 5, 9, 14, 18, 28), (0, 5, 10, 13, 17, 23),
-                     ((0, 5, 10, 13, 17, 23), 17, 6, 7)),
+                     ((0, 5, 10, 13, 17, 23), 17, 7, 7)),
     "gnp35_0.7_s0": ((0, 1, 4, 9, 14, 17, 19, 27, 30, 31), (0, 3, 8, 9, 11, 16, 27, 29, 33, 34),
                      ((0, 3, 8, 9, 11, 16, 27, 29, 33, 34), 0, 10, 11)),
     "gnp30_0.7_s1": ((0, 1, 6, 7, 11, 16, 17, 23, 25), (0, 1, 6, 7, 11, 16, 17, 23, 25),
@@ -498,7 +592,7 @@ GOLDEN_CLIQUES = {
     "gnp20_0.9_s2": ((0, 2, 3, 4, 5, 6, 7, 8, 10, 13, 14, 16, 17),
                      (0, 2, 3, 4, 5, 6, 7, 8, 10, 11, 13, 14, 18),
                      ((0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12), 0, 13, 13)),
-    "petersen": ((0, 5), (0, 5), ((0, 5), 0, 2, 3)),
+    "petersen": ((0, 5), (0, 5), ((0, 5), 0, 3, 3)),
     "1-FullIns_3": ((6, 7, 8, 27), (6, 7, 8, 27), ((0, 1, 2, 5), 5, 4, 4)),
 }
 
